@@ -12,7 +12,6 @@ from .layers import (
     Flatten,
     GRUCell,
     Layer,
-    LayerSpec,
     Reshape,
     Sequential,
     backward,
@@ -27,7 +26,7 @@ from .layers import (
 
 __all__ = [
     "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "Entry", "Flatten",
-    "GRUCell", "Layer", "LayerSpec", "Reshape", "Sequential", "adam_step", "backward",
+    "GRUCell", "Layer", "Reshape", "Sequential", "adam_step", "backward",
     "conv_out_hw", "forward", "leaky_relu", "load_checkpoint", "lrelu_fingerprint", "max_param_error",
     "numeric_gradient", "relative_errors", "sample_latent", "sample_latent_backward",
     "save_checkpoint", "sigmoid",

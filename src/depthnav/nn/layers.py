@@ -9,8 +9,6 @@ general autodiff tape: every backward pass below is hand-derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeError, TrainingError
@@ -32,27 +30,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Declarative layer description; concrete layers are built from these.
-
-    kernel/stride are ignored for dense/activation/flatten/reshape kinds.
-    """
-
-    kind: str  # conv | deconv | dense | activation | flatten | reshape
-    channels: int = 0
-    kernel: tuple[int, int] = (1, 1)
-    stride: int = 1
-    activation: str = ""
-
-    def __post_init__(self):
-        if self.kind in ("conv", "deconv"):
-            if self.stride < 1:
-                raise ShapeError(f"{self.kind}: stride must be >= 1, got {self.stride}")
-            if min(self.kernel) < 1:
-                raise ShapeError(f"{self.kind}: kernel dims must be >= 1, got {self.kernel}")
 
 
 class Layer:

@@ -16,7 +16,7 @@ from .data import (
     label_episode,
     with_flip_augmentation,
 )
-from .errors import DatasetError
+from .errors import DatasetError, WorldError
 from .vae import SemanticVae, VaeConfig, train_vae
 from .world import (
     DynamicsParams,
@@ -34,17 +34,20 @@ def _frame_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
 
 
-def corpus_world_params(env: str = "medium", seed: int = 0) -> "WorldGenParams":
-    """Data-collection worlds: a few big smooth structures plus dense thin-rod
-    fields.  The background stays cheap to encode while the rods carry most
-    of the positional entropy, the regime where an unweighted loss sacrifices
-    them first.  The env argument keeps the signature interchangeable with
-    the evaluation presets."""
-    from .world import WorldGenParams
+# consecutive pose draws that may all miss before a world counts as having no
+# free pose (a normal world misses a handful in a row at most)
+POSE_DRAWS = 200
 
-    return WorldGenParams(radii=(2.5, 2.5, 0.55, 0.5), section_size=15.0,
-                          large_footprint=(0.5, 2.0), large_height=(1.5, 4.0),
-                          rod_height=(1.2, 3.8), spawn_clear=0.6, seed=seed)
+
+def _draw_pose(draw):
+    """Repeat draw() until it returns a (world, state) pose; DatasetError once
+    POSE_DRAWS draws in a row have missed."""
+    for _ in range(POSE_DRAWS):
+        pose = draw()
+        if pose is not None:
+            return pose
+    raise DatasetError(f"no free pose in {POSE_DRAWS} consecutive draws; "
+                       "the worlds leave no room for the camera")
 
 
 def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
@@ -78,8 +81,8 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
     for env in environments:
         for w in range(worlds_per_env):
             worlds.append(generate_world(world_params_fn(env, seed=int(rng.integers(2**31)))))
-    frames = []
-    while len(frames) < n_frames:
+
+    def draw():
         world = worlds[int(rng.integers(len(worlds)))]
         x0, y0, x1, y1 = world.bounds
         # a render pose only needs the camera clear of geometry, not a full
@@ -94,9 +97,9 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
                             rod[1] + dist * np.sin(bearing),
                             float(rng.uniform(0.7, 1.6))])
             if not (x0 < pos[0] < x1 and y0 < pos[1] < y1):
-                continue
+                return None
             if min_clearance(world, pos) <= 0.25:
-                continue
+                return None
             state = hover_state(pos, yaw=wrap_angle(bearing + np.pi
                                                     + float(rng.uniform(-0.35, 0.35))))
         else:
@@ -105,10 +108,15 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
                                         (y0 + 0.5, y1 - 0.5),
                                         z=float(rng.uniform(0.7, 1.6)),
                                         radius=0.15, margin=0.1, attempts=50)
-            except Exception:
-                continue
+            except WorldError:
+                return None
             state.yaw = float(rng.uniform(-np.pi, np.pi))
         state.pitch = float(rng.uniform(-0.15, 0.15))
+        return world, state
+
+    frames = []
+    while len(frames) < n_frames:
+        world, state = _draw_pose(draw)
         frames.append(render_from_state(world, camera, state))
     clean = FrameSet.from_frames(frames)
     noisy = corrupt_frameset(clean, noise, seed, camera.max_range)
@@ -129,16 +137,20 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
     for env in environments:
         for w in range(worlds_per_env):
             worlds.append(generate_world(world_params_fn(env, seed=int(rng.integers(2**31)))))
-    sets = []
-    made = 0
-    while made < n_episodes:
+
+    def draw():
         world = worlds[int(rng.integers(len(worlds)))]
         x0, y0, x1, y1 = world.bounds
         try:
-            start = find_free_start(world, rng, (x0 + 0.5, x1 - 1.0), (y0 + 0.5, y1 - 0.5),
-                                    z=1.0, radius=dynamics.collision_radius, attempts=50)
-        except Exception:
-            continue
+            return world, find_free_start(world, rng, (x0 + 0.5, x1 - 1.0), (y0 + 0.5, y1 - 0.5),
+                                          z=1.0, radius=dynamics.collision_radius, attempts=50)
+        except WorldError:
+            return None
+
+    sets = []
+    made = 0
+    while made < n_episodes:
+        world, start = _draw_pose(draw)
         start.yaw = float(rng.uniform(-np.pi, np.pi))
         sensor = lambda st: render_from_state(world, camera, st)
         episode = rollout_episode(world, start, sensor, seed=int(rng.integers(2**31)),

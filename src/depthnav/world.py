@@ -15,6 +15,7 @@ position and yaw stay private to the simulator.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -50,47 +51,47 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
     w, h = x1 - x0, y1 - y0
     if w <= 0 or h <= 0:
         return np.zeros((0, 2))
+    # The draws (one integer per pick, two uniforms per candidate) and the
+    # arithmetic are kept exactly, so every world is reproducible bit for bit:
+    # `** 2` is pow(), which can differ from d * d in the last bit.
     rng = np.random.default_rng(seed)
-    cell = r / np.sqrt(2.0)
-    gw, gh = int(np.ceil(w / cell)), int(np.ceil(h / cell))
-    grid = np.full((gw, gh), -1, dtype=np.int64)
-    points: list[tuple[float, float]] = []
+    rand = rng.random
+    cell = r / math.sqrt(2.0)
+    gw, gh = int(math.ceil(w / cell)), int(math.ceil(h / cell))
+    # flat background grid: cell (gx, gy) at gx * gh + gy lists the points of
+    # its 5x5 neighbourhood, the only ones closer than r to a point inside it
+    near = [[] for _ in range(gw * gh)]
+    r2 = r * r
+    two_pi = 2.0 * np.pi
+    points, active = [], []
 
-    def cell_of(p):
-        return min(int((p[0] - x0) / cell), gw - 1), min(int((p[1] - y0) / cell), gh - 1)
+    def place(p):
+        gx, gy = int((p[0] - x0) / cell), int((p[1] - y0) / cell)
+        gx, gy = min(gx, gw - 1), min(gy, gh - 1)
+        for row in range(max(gx - 2, 0) * gh, min(gx + 3, gw) * gh, gh):
+            for i in range(row + max(gy - 2, 0), row + min(gy + 3, gh)):
+                near[i].append(p)
+        points.append(p)
+        active.append(p)
 
-    def fits(p):
-        cx, cy = cell_of(p)
-        for gx in range(max(cx - 2, 0), min(cx + 3, gw)):
-            for gy in range(max(cy - 2, 0), min(cy + 3, gh)):
-                idx = grid[gx, gy]
-                if idx >= 0:
-                    q = points[idx]
-                    if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < r * r:
-                        return False
-        return True
-
-    first = (x0 + rng.random() * w, y0 + rng.random() * h)
-    points.append(first)
-    grid[cell_of(first)] = 0
-    active = [0]
+    place((x0 + rand() * w, y0 + rand() * h))
     while active:
         pick = int(rng.integers(len(active)))
-        base = points[active[pick]]
-        placed = False
+        bx, by = active[pick]
         for _ in range(k):
-            rad = r * (1.0 + rng.random())
-            ang = rng.random() * 2.0 * np.pi
-            cand = (base[0] + rad * np.cos(ang), base[1] + rad * np.sin(ang))
-            if not (x0 <= cand[0] < x1 and y0 <= cand[1] < y1):
+            rad = r * (1.0 + rand())
+            ang = rand() * two_pi
+            px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
+            if not (x0 <= px < x1 and y0 <= py < y1):
                 continue
-            if fits(cand):
-                grid[cell_of(cand)] = len(points)
-                points.append(cand)
-                active.append(len(points) - 1)
-                placed = True
+            gx, gy = int((px - x0) / cell), int((py - y0) / cell)
+            for qx, qy in near[(gx if gx < gw else gw - 1) * gh + (gy if gy < gh else gh - 1)]:
+                if (px - qx) ** 2 + (py - qy) ** 2 < r2:
+                    break
+            else:
+                place((px, py))
                 break
-        if not placed:
+        else:
             active[pick] = active[-1]
             active.pop()
     return np.array(points)
@@ -238,6 +239,15 @@ def empty_world(extent: float = 60.0, ceiling: float = 4.0) -> World:
 # ---------------------------------------------------------------------------
 # Collision queries
 # ---------------------------------------------------------------------------
+
+def obstacles_within(world: World, x: float, y: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row masks (cylinders, boxes) of the obstacles whose footprint circle
+    comes within `reach` of the ground point (x, y); a box's circle is its
+    circumscribed one, of radius hypot(ex, ey)."""
+    c, b = world.cylinders, world.boxes
+    return (np.hypot(c[:, 0] - x, c[:, 1] - y) - c[:, 2] <= reach,
+            np.hypot(b[:, 0] - x, b[:, 1] - y) - np.hypot(b[:, 2], b[:, 3]) <= reach)
+
 
 def obstacle_distances(world: World, position: np.ndarray) -> np.ndarray:
     """Euclidean distance from a point to every obstacle solid (cyls then boxes)."""
@@ -498,6 +508,14 @@ def rollout_collision_matrix(world: World, start: RobotState, actions: np.ndarra
     velocity/yaw tracking, collision checked each substep)."""
     actions = np.asarray(actions, dtype=np.float64)
     m, t, _ = actions.shape
+    # No substep moves faster than max(|v0|, v_max) (the velocity relaxes
+    # toward a clamped reference), so obstacles farther than the whole
+    # horizon's travel plus the collision radius cannot set a flag; the 1 um
+    # slack absorbs rounding.
+    reach = (max(float(np.linalg.norm(start.velocity)), params.v_max) * t * dt
+             + params.collision_radius + 1e-6)
+    near_c, near_b = obstacles_within(world, start.position[0], start.position[1], reach)
+    world = World(world.cylinders[near_c], world.boxes[near_b], world.bounds, world.ceiling)
     pos = np.tile(start.position, (m, 1))
     yaw = np.full(m, start.yaw)
     vel = np.tile(start.velocity, (m, 1))

@@ -46,13 +46,28 @@ class DeskStack:
     timings: dict = field(default_factory=dict)
 
 
+# the desk stack's stage timings, kept for the end-of-session summary
+STACK_TIMINGS = pytest.StashKey[dict]()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """Print how long each desk-stack stage took, when the fixture ran."""
+    timings = config.stash.get(STACK_TIMINGS, None)
+    if timings:
+        terminalreporter.section("desk stack timings")
+        for stage, seconds in timings.items():
+            terminalreporter.write_line(f"{stage:>14}: {seconds:7.1f} s")
+        terminalreporter.write_line(f"{'total':>14}: {sum(timings.values()):7.1f} s")
+
+
 @pytest.fixture(scope="session")
-def desk_stack() -> DeskStack:
+def desk_stack(request) -> DeskStack:
     """Train the full desk-scale stack once per session (tens of minutes)."""
     camera = CameraModel()
     noise = NoiseParams()
     vae_cfg = VaeConfig()
     timings = {}
+    request.config.stash[STACK_TIMINGS] = timings
 
     t0 = time.time()
     _, corpus_noisy = render_vae_corpus(N_CORPUS_FRAMES, camera, noise, seed=STACK_SEED + 1)

@@ -1,5 +1,7 @@
 """Depth rendering, the corruption model, downsampling, PGM I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,13 @@ from depthnav.camera import (
     depth_pgm_to_frame,
     downsample,
     frame_to_depth_pgm,
+    paper_camera,
     read_pgm,
     render,
     write_pgm,
 )
 from depthnav.errors import ShapeError
-from depthnav.world import World, empty_world
+from depthnav.world import World, desk_world_params, empty_world, generate_world, rot_z
 
 
 def _single_rod_world(distance=2.0, radius=0.02, height=3.0):
@@ -78,6 +81,73 @@ class TestRender:
         frame = render(_wall_world(6.0), cam, [0.0, 0.0, 1.0], 0.0)
         h, w = frame.shape
         assert frame.valid[h // 2, w // 2] == 0
+
+
+def _box_world():
+    """A long thin wall and a small box, a rod and a thick post."""
+    return World(cylinders=np.array([[6.5, 4.0, 0.02, 3.0, 1.0], [3.5, 5.5, 0.3, 2.0, 0.0],
+                                     [7.0, 7.5, 0.02, 2.5, 2.0]]),
+                 boxes=np.array([[5.0, 5.0, 1.5, 0.05, 0.3, 2.5, 0.0],
+                                 [8.0, 6.0, 0.4, 0.3, 1.2, 1.5, 3.0]]),
+                 bounds=(0, 0, 10, 10), ceiling=5.0)
+
+
+def _inside_wall_circle(yaw, along=0.0, off=0.6):
+    """A position whose camera origin lies inside the wall's circumscribed
+    circle (radius ~1.5 m) but not inside the wall itself; near the wall's
+    end, part of the wall lies behind the bearing to its centre."""
+    local = np.array([along, off, 1.0])
+    center = np.array([5.0, 5.0, 0.0]) + rot_z(0.3) @ local
+    return center - rot_z(yaw) @ np.array([0.1, 0.0, 0.0])
+
+
+# (position, yaw, roll, pitch); yaws near +-pi look across the azimuth seam
+DENSE_POSES = [
+    ([2.0, 7.5, 1.0], 0.0, 0.0, 0.0),
+    ([16.0, 5.0, 1.2], 0.7, 0.3, -0.3),
+    ([31.0, 9.0, 0.9], -1.2, -0.3, 0.3),
+    ([24.0, 7.5, 1.5], np.pi - 1e-9, 0.0, 0.1),
+    ([38.0, 3.0, 1.0], -np.pi + 1e-9, 0.05, 0.0),
+    ([20.0, 12.0, 1.0], 3.0, -0.3, -0.3),
+]
+BOX_POSES = [(_inside_wall_circle(yaw), yaw, roll, pitch) for yaw, roll, pitch in [
+    (0.0, 0.0, 0.0), (1.5, 0.3, 0.3), (np.pi - 1e-9, -0.3, 0.0), (-2.0, 0.0, -0.3)]] + [
+    (_inside_wall_circle(-0.6, along=1.2, off=0.25), -0.6, 0.0, 0.0),
+    ([1.0, 5.0, 1.0], 0.0, 0.0, 0.0),
+    ([3.5, 5.5, 1.0], 0.5, 0.0, -0.3),  # inside the post
+]
+# digests of the reference ray caster's x, valid and seg over every pose
+RENDER_GOLDEN = {
+    "dense": "747c09ec2ec45d7c9f29492bb00e0ff5fcb5ede732eac7d20f9f93e0ab16a4cc",
+    "boxes": "7721404d3aafe5124d507781f771872cb66e2c3c2f9569134f5458cb0a2978da",
+    "paper": "8393a352f3c5d3e8f6291fe4dfab5177dab0c8448790df2a0ea6db454c6e0381",
+}
+
+
+def _frames_sha(frames) -> str:
+    h = hashlib.sha256()
+    for f in frames:
+        for a in (f.x, f.valid, f.seg):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestRenderGolden:
+    def test_dense_world_poses_bit_identical(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        frames = [render(world, CameraModel(), p, y, roll=r, pitch=q) for p, y, r, q in DENSE_POSES]
+        assert _frames_sha(frames) == RENDER_GOLDEN["dense"]
+
+    def test_box_world_poses_bit_identical(self):
+        world = _box_world()
+        frames = [render(world, CameraModel(), p, y, roll=r, pitch=q) for p, y, r, q in BOX_POSES]
+        assert _frames_sha(frames) == RENDER_GOLDEN["boxes"]
+
+    def test_paper_camera_pose_bit_identical(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        frame = render(world, paper_camera(), [16.0, 7.5, 1.0], 0.2, pitch=0.05)
+        assert frame.valid.sum() > 0 and frame.seg.max() > 0
+        assert _frames_sha([frame]) == RENDER_GOLDEN["paper"]
 
 
 class TestCorrupt:

@@ -1,9 +1,13 @@
-"""Dataset construction, labeling, augmentation, containers, PGM import."""
+"""Dataset construction, labeling, augmentation, containers, PGM import,
+and pose sampling for the generated datasets."""
+
+import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from depthnav.camera import DepthFrame
+from depthnav.camera import CameraModel, DepthFrame, NoiseParams
 from depthnav.data import (
     CollisionDatapoint,
     CollisionSet,
@@ -22,7 +26,7 @@ from depthnav.data import (
     with_flip_augmentation,
 )
 from depthnav.errors import DatasetError, ShapeError
-from depthnav.world import ACTION_DIM, CollisionEpisode
+from depthnav.world import ACTION_DIM, CollisionEpisode, desk_world_params
 
 
 def _episode(length, collided_at=None, T=8, seed=0):
@@ -286,3 +290,21 @@ class TestPgmImport:
         write_pgm(tmp_path / "0001.pgm", np.full((5, 8), 100, np.uint16), 65535)
         with pytest.raises(DatasetError, match="0001"):
             import_depth_images(tmp_path)
+
+
+class TestPoseSampling:
+    @staticmethod
+    def _low_ceiling(env, seed):
+        # a 0.5 m ceiling leaves no pose at the 0.7-1.6 m camera heights
+        return dataclasses.replace(desk_world_params(env, seed=seed), ceiling=0.5)
+
+    def test_world_without_free_pose_raises_promptly(self):
+        from depthnav.pipeline import collect_collision_data, render_vae_corpus
+
+        kw = dict(environments=("sparse",), worlds_per_env=1, world_params_fn=self._low_ceiling)
+        t0 = time.perf_counter()
+        with pytest.raises(DatasetError, match="no free pose"):
+            render_vae_corpus(4, CameraModel(), NoiseParams(), seed=0, **kw)
+        with pytest.raises(DatasetError, match="no free pose"):
+            collect_collision_data(2, CameraModel(), seed=0, **kw)
+        assert time.perf_counter() - t0 < 20.0

@@ -1,11 +1,14 @@
 """World generation, collision geometry, dynamics, and rollouts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from depthnav.errors import WorldError
 from depthnav.world import (
     DynamicsParams,
+    RobotState,
     World,
     batch_min_clearance,
     check_collision,
@@ -56,6 +59,44 @@ class TestPoissonDisc:
         pts = poisson_disc_sample((2, 3, 12, 9), 1.5, seed=7)
         assert np.all(pts[:, 0] >= 2) and np.all(pts[:, 0] < 12)
         assert np.all(pts[:, 1] >= 3) and np.all(pts[:, 1] < 9)
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Digests of the reference Bridson sampler and world generator.  Any change
+# to the random draw sequence or to the distance arithmetic moves every world
+# downstream (corpora, collision sets, missions), so these pin them bit for bit.
+POISSON_GOLDEN = {
+    ((0.0, 0.0, 20.0, 20.0), 1.3, 0): "ebbdd3f3f902b693bc116b40f43f6c1e80026e5527397781f458dcb902dc7b02",
+    ((2.0, 3.0, 12.0, 9.0), 0.7, 7919): "670acf63484a6dd9ceff5559e33833ff87ca30632fdfb2541100990f61a96b4c",
+}
+WORLD_GOLDEN = {
+    ("desk", "sparse", 3): "2542adfa0004c2ac1369eb2d022e131f3883e134e69553b02772f554cd6fd6d4",
+    ("desk", "sparse", 11): "0b6156dc48cbf43deb9e2ae618821fe2857763504c6c62ea0378628bd7bb229d",
+    ("desk", "medium", 3): "44f92e49afe3c603b631512caa57f3bc2bf6bb632ca7653305669a38b9b0954f",
+    ("desk", "medium", 11): "a5281f57d0fbfe2ae7d811466a97ed34cbde4df5c5ef17d4813e0782028a64cd",
+    ("desk", "dense", 3): "cc353ba2c4f0f577ea070bfe00e2ce115396d42197a22b4f9ba6f6dcc4070df4",
+    ("desk", "dense", 11): "f553a1d66a64a3a46bce9f54e1115cd5543070686d893d2c68a57d351a4faa4d",
+    ("paper", "dense", 5): "cd16888656f1db2dbbc2397d981e0cf790d26e9e261fcc11193ac7507239f46a",
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("region,r,seed", list(POISSON_GOLDEN))
+    def test_poisson_points_bit_identical(self, region, r, seed):
+        pts = poisson_disc_sample(region, r, seed=seed)
+        assert _sha(pts) == POISSON_GOLDEN[(region, r, seed)]
+
+    @pytest.mark.parametrize("scale,env,seed", list(WORLD_GOLDEN))
+    def test_world_bit_identical(self, scale, env, seed):
+        params_fn = desk_world_params if scale == "desk" else paper_world_params
+        world = generate_world(params_fn(env, seed=seed))
+        assert _sha(world.cylinders, world.boxes) == WORLD_GOLDEN[(scale, env, seed)]
 
 
 class TestWorldGen:
@@ -215,19 +256,51 @@ class TestDynamics:
             state = step_dynamics(state, np.array([9.0, 0, 0, 0]), 0.05, params)
         assert np.linalg.norm(state.velocity) <= 1.5 + 1e-9
 
-    def test_rollout_matrix_agrees_with_scalar_path(self):
-        world = generate_world(desk_world_params("medium", seed=77))
-        start = hover_state([1.0, 7.5, 1.0])
-        rng = np.random.default_rng(0)
-        actions = rng.uniform(-1, 1, (16, 8, 4)) * np.array([1.2, 0.3, 0.6, 0.7])
-        mat = rollout_collision_matrix(world, start, actions, 0.25)
-        params = DynamicsParams()
+    @staticmethod
+    def _assert_matrix_matches_scalar(world, start, actions, params=DynamicsParams()):
+        mat = rollout_collision_matrix(world, start, actions, 0.25, params)
         for i in range(len(actions)):
             state, hit = start, False
-            for t in range(8):
+            for t in range(actions.shape[1]):
                 if not hit:
                     state, hit = step_with_collision(world, state, actions[i, t], 0.25, params)
                 assert mat[i, t] == (1 if hit else 0)
+        return mat
+
+    def test_rollout_matrix_agrees_with_scalar_path(self):
+        world = generate_world(desk_world_params("medium", seed=77))
+        rng = np.random.default_rng(0)
+        actions = rng.uniform(-1, 1, (16, 8, 4)) * np.array([1.2, 0.3, 0.6, 0.7])
+        self._assert_matrix_matches_scalar(world, hover_state([1.0, 7.5, 1.0]), actions)
+
+    def test_rollout_matrix_agrees_with_scalar_path_in_dense_world(self):
+        # start moving faster than v_max among rods and boxes, with references
+        # above v_max: the oracle must see every obstacle the scalar path sees
+        world = generate_world(desk_world_params("dense", seed=5))
+        rng = np.random.default_rng(3)
+        for pos, yaw in [([19.0, 10.5, 1.2], 0.3), ([31.0, 7.5, 1.0], -2.9)]:
+            start = RobotState(position=pos, yaw=yaw, velocity=[2.0, -0.4, 0.1])
+            actions = rng.uniform(-1, 1, (24, 10, 4)) * np.array([2.5, 0.5, 0.2, 0.8])
+            mat = self._assert_matrix_matches_scalar(world, start, actions)
+            assert 0 < mat[:, -1].sum() < len(actions)
+
+    def test_rollout_matrix_sees_obstacles_at_the_edge_of_reach(self):
+        # rods in an annulus around the start that only the last steps can
+        # reach, for a start faster than v_max and one at v_max, where the
+        # horizon's travel plus the collision radius is a tight bound
+        rng = np.random.default_rng(8)
+        for speed, (near, far) in [(3.0, (4.1, 4.5)), (1.5, (3.8, 4.05))]:
+            ang, dist = rng.uniform(-0.8, 0.8, 60), rng.uniform(near, far, 60)
+            rods = np.stack([10 + dist * np.cos(ang), 10 + dist * np.sin(ang), np.full(60, 0.02),
+                             np.full(60, 3.0), np.arange(1.0, 61.0)], axis=1)
+            world = World(rods, np.zeros((0, 7)), (0, 0, 20, 20), 4.0)
+            start = RobotState(position=[10.0, 10.0, 1.0], yaw=0.0, velocity=[speed, 0.0, 0.0])
+            heading = rng.uniform(-0.8, 0.8, 48)
+            actions = np.zeros((48, 10, 4))
+            actions[:, :, 0] = 3.0 * np.cos(heading)[:, None]
+            actions[:, :, 1] = 3.0 * np.sin(heading)[:, None]
+            mat = self._assert_matrix_matches_scalar(world, start, actions)
+            assert mat[:, -1].sum() > 0 and not mat[:, :-2].any()
 
 
 class TestRollout:
