@@ -6,6 +6,15 @@ initialize a single gated recurrent cell; each step consumes one embedded
 action and emits a collision logit through a dense head.  predict() returns
 sigmoid scores in [0, 1].
 
+score_library() scores S states (the planner's sigma points) against M
+action sequences of T steps (the motion-primitive library) without tiling
+them out to S*M*T rows: the perception embedding runs once, h0 once per
+state, the action embedding and the GRU input projections x @ w once per
+primitive step (M*T rows), and only the recurrence h @ u, the head and the
+sigmoid run on every state/sequence pair.  Each element sees the same
+float operations in the same order as the training forward pass on the
+tiled rows, so the scores are bit-identical to it.
+
 The end-to-end variant exists as the comparison baseline: its conv encoder
 is trained jointly from collision labels only, with no reconstruction loss,
 no semantic weighting, and clean simulated frames only.
@@ -185,8 +194,9 @@ class CollisionPredictor:
     def score_library(self, perception, states, actions) -> np.ndarray:
         """states: (S, 6), actions: (M, T, 4) -> scores (S, M, T).
 
-        The perception embedding is computed once and shared across all
-        state/sequence combinations.
+        Bit-identical to sigmoid(_forward_logits) on the S*M tiled rows; the
+        module docstring lists the work it shares.  Nothing is cached for a
+        backward pass.
         """
         states = np.asarray(states, dtype=np.float32)
         actions = np.asarray(actions, dtype=np.float32)
@@ -194,16 +204,40 @@ class CollisionPredictor:
             raise ShapeError(f"states must be (S, {self.cfg.state_dim}), got {states.shape}")
         if actions.ndim != 3 or actions.shape[2] != self.cfg.action_dim:
             raise ShapeError(f"actions must be (M, T, {self.cfg.action_dim}), got {actions.shape}")
-        s, m = states.shape[0], actions.shape[0]
+        s, (m, t) = len(states), actions.shape[:2]
         pe = self.perception.forward(self._perception_input(perception))
         if pe.shape[0] != 1:
             raise ShapeError("score_library expects a single perception input")
         se = self.state_emb.forward(states)
-        pe_rows = np.repeat(pe, s * m, axis=0)
-        se_rows = np.repeat(se, m, axis=0)
-        act_rows = np.tile(actions, (s, 1, 1))
-        logits = self._forward_logits(pe_rows, se_rows, act_rows)
-        scores = sigmoid(logits).reshape(s, m, actions.shape[1])
+
+        def shared(fn, rows, tiled_rows):
+            # numpy takes a one-row matmul through gemv, which rounds
+            # differently from gemm: a lone row that stands for several
+            # tiled rows is computed as a pair, as gemm computes those rows
+            if len(rows) == 1 < tiled_rows:
+                return fn(np.concatenate([rows, rows]))[:1]
+            return fn(rows)
+
+        def matmul(a, w):  # (..., K) @ (K, N) as one 2-D product
+            out = shared(lambda rows: rows @ w, a.reshape(-1, a.shape[-1]), s * m)
+            return out.reshape(*a.shape[:-1], w.shape[1])
+
+        h = shared(self.h0_net.forward,
+                   np.concatenate([np.repeat(pe, s, axis=0), se], axis=1), s * m)[:, None]
+        ae = shared(self.action_emb.forward,
+                    np.ascontiguousarray(actions.reshape(m * t, self.cfg.action_dim),
+                                         dtype=pe.dtype), s * m * t).reshape(m, t, -1)
+        p = self.gru.params
+        hs = np.empty((s, m, t, self.cfg.hidden), dtype=pe.dtype)
+        for i in range(t):  # h: (S, 1, H) until step 0 splits it over the M sequences
+            x = ae[:, i]
+            z = sigmoid(matmul(x, p["wz"]) + matmul(h, p["uz"]) + p["bz"])
+            r = sigmoid(matmul(x, p["wr"]) + matmul(h, p["ur"]) + p["br"])
+            hc = np.tanh(matmul(x, p["wh"]) + matmul(r * h, p["uh"]) + p["bh"])
+            h = hs[:, :, i] = (1.0 - z) * h + z * hc
+        head = self.head.params
+        logits = hs.reshape(s * m * t, -1) @ head["weight"] + head["bias"]
+        scores = sigmoid(logits).reshape(s, m, t)
         if not np.all(np.isfinite(scores)):
             raise TrainingError("collision scores non-finite")
         return scores

@@ -23,12 +23,14 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows and equals exp(x) exactly for x < 0, so
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) for x < 0 are the stable split
+    # forms, evaluated branch-free: the numerator max(e, x >= 0) is 1 or e.
+    # min(x, -x) is -|x| that keeps a NaN's sign, as exp(x) does.
+    e = np.exp(np.minimum(x, -x))
+    out = np.maximum(e, x >= 0, dtype=x.dtype)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -255,12 +257,12 @@ class Activation(Layer):
         self.fn = fn
         self.slope = slope
         self.name = name or fn
-        self.last_signs = None  # branch pattern of the latest lrelu forward
+        self.last_input = None  # input of the latest lrelu forward, for lrelu_fingerprint
 
     def forward(self, x):
         if self.fn == "lrelu":
             y = leaky_relu(x, self.slope)
-            self.last_signs = np.packbits(x >= 0)
+            self.last_input = x
         elif self.fn == "sigmoid":
             y = sigmoid(x)
         elif self.fn == "tanh":
@@ -441,8 +443,8 @@ def backward(network: Sequential, dy: np.ndarray) -> np.ndarray:
 def lrelu_fingerprint(layers) -> np.ndarray:
     """Concatenated branch patterns of every lrelu in `layers` (for the
     gradient checker's kink-crossing mask)."""
-    parts = [layer.last_signs for layer in layers
-             if getattr(layer, "fn", "") == "lrelu" and layer.last_signs is not None]
+    parts = [np.packbits(layer.last_input >= 0) for layer in layers
+             if getattr(layer, "fn", "") == "lrelu" and layer.last_input is not None]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
 

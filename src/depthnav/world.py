@@ -375,6 +375,20 @@ def step_dynamics(state: RobotState, action: np.ndarray, dt: float,
     )
 
 
+def _within_travel(world: World, start: RobotState, seconds: float,
+                   params: DynamicsParams) -> World:
+    """The obstacles a vehicle leaving `start` can hit within `seconds`.
+
+    No substep moves faster than max(|v0|, v_max) (the velocity relaxes
+    toward a clamped reference), so obstacles farther than that travel plus
+    the collision radius cannot be hit; the 1 um slack absorbs rounding.
+    """
+    reach = (max(float(np.linalg.norm(start.velocity)), params.v_max) * seconds
+             + params.collision_radius + 1e-6)
+    near_c, near_b = obstacles_within(world, start.position[0], start.position[1], reach)
+    return World(world.cylinders[near_c], world.boxes[near_b], world.bounds, world.ceiling)
+
+
 def step_with_collision(world: World, state: RobotState, action, dt: float,
                         params: DynamicsParams, substeps: int = 5):
     """Advance one control interval, checking collision at each substep.
@@ -382,6 +396,7 @@ def step_with_collision(world: World, state: RobotState, action, dt: float,
     Returns (new_state, collided).  On collision the state is the first
     colliding substate (the episode ends there anyway).
     """
+    world = _within_travel(world, state, dt, params)
     sub = dt / substeps
     current = state
     for _ in range(substeps):
@@ -508,14 +523,7 @@ def rollout_collision_matrix(world: World, start: RobotState, actions: np.ndarra
     velocity/yaw tracking, collision checked each substep)."""
     actions = np.asarray(actions, dtype=np.float64)
     m, t, _ = actions.shape
-    # No substep moves faster than max(|v0|, v_max) (the velocity relaxes
-    # toward a clamped reference), so obstacles farther than the whole
-    # horizon's travel plus the collision radius cannot set a flag; the 1 um
-    # slack absorbs rounding.
-    reach = (max(float(np.linalg.norm(start.velocity)), params.v_max) * t * dt
-             + params.collision_radius + 1e-6)
-    near_c, near_b = obstacles_within(world, start.position[0], start.position[1], reach)
-    world = World(world.cylinders[near_c], world.boxes[near_b], world.bounds, world.ceiling)
+    world = _within_travel(world, start, t * dt, params)
     pos = np.tile(start.position, (m, 1))
     yaw = np.full(m, start.yaw)
     vel = np.tile(start.velocity, (m, 1))

@@ -1,12 +1,15 @@
 """Collision predictor: score contracts, recurrent gradient check, training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from depthnav.cpn import CollisionPredictor, CpnConfig, binary_auc, train_cpn
+from depthnav.cpn import END_TO_END, CollisionPredictor, CpnConfig, binary_auc, train_cpn
 from depthnav.data import LatentCollisionSet
-from depthnav.errors import ShapeError
-from depthnav.nn import lrelu_fingerprint, max_param_error
+from depthnav.errors import ShapeError, TrainingError
+from depthnav.nn import lrelu_fingerprint, max_param_error, sigmoid
+from depthnav.planner import LibraryConfig, build_library
 
 TINY = CpnConfig(variant="modular", latent_dim=6, horizon=4, hidden=8,
                  perception_embed=8, state_embed=4, action_embed=4)
@@ -57,6 +60,85 @@ def test_batched_library_equals_per_sequence_predictions():
     for m in range(5):
         single = model.predict(mu, state, actions[m])
         assert np.allclose(batch[0, m], single, atol=1e-6)
+
+
+# Digests of score_library for seeded default-size models on the full motion
+# primitive library (45 sequences x 10 steps) and 13 states.  They pin the
+# scores bit for bit: a change to the order of any float operation on the
+# inference path moves them.
+SCORE_GOLDEN = {
+    "modular": "9af7206fdb1735a7d97b7eabaf3d48c093c2e301162047bf4a4010e13bc41f7d",
+    END_TO_END: "ec9ef6982e93d3209e429758ea334e54e98c96b286507660a6bcbce43ffe70e2",
+}
+
+
+def _golden_inputs():
+    rng = np.random.default_rng(2024)
+    states = (rng.normal(size=(13, 6)) * 0.5).astype(np.float32)
+    mu = rng.normal(size=32).astype(np.float32)
+    frame = rng.random((60, 80)).astype(np.float32)
+    return states, {"modular": mu, END_TO_END: frame}
+
+
+@pytest.mark.parametrize("variant,seed", [("modular", 11), (END_TO_END, 12)])
+def test_library_scores_bit_identical(variant, seed):
+    states, perception = _golden_inputs()
+    model = CollisionPredictor(CpnConfig(variant=variant), seed=seed)
+    scores = model.score_library(perception[variant], states, build_library(LibraryConfig()).actions)
+    assert scores.shape == (13, 45, 10) and scores.dtype == np.float32
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == SCORE_GOLDEN[variant]
+
+
+def _tiled_reference(model, perception, states, actions):
+    """Scores through the training forward pass on every (state, sequence) row."""
+    s, m = len(states), len(actions)
+    pe = model.perception.forward(model._perception_input(perception))
+    se = model.state_emb.forward(np.asarray(states, np.float32))
+    logits = model._forward_logits(np.repeat(pe, s * m, axis=0), np.repeat(se, m, axis=0),
+                                   np.tile(np.asarray(actions, np.float32), (s, 1, 1)))
+    return sigmoid(logits).reshape(s, m, -1)
+
+
+E2E_TINY = CpnConfig(variant=END_TO_END, horizon=3, hidden=8, perception_embed=8,
+                     state_embed=4, action_embed=4, image_hw=(12, 16), e2e_channels=(2, 3))
+
+
+@pytest.mark.parametrize("cfg,dtype", [(TINY, np.float32), (TINY, np.float64),
+                                       (E2E_TINY, np.float32), (CpnConfig(), np.float32)])
+@pytest.mark.parametrize("s,m", [(1, 1), (1, 6), (5, 1), (13, 7)])
+def test_library_scores_equal_tiled_training_forward(cfg, dtype, s, m):
+    model = CollisionPredictor(cfg, seed=s * 10 + m, dtype=dtype)
+    rng = np.random.default_rng(s * 100 + m)
+    if cfg.variant == END_TO_END:
+        perception = rng.random(cfg.image_hw)
+    else:
+        perception = rng.normal(size=cfg.latent_dim)
+    states = rng.normal(size=(s, 6))
+    actions = rng.normal(size=(m, cfg.horizon, 4)) * 2.0
+    scores = model.score_library(perception, states, actions)
+    reference = _tiled_reference(model, perception, states, actions)
+    assert scores.dtype == reference.dtype and scores.shape == (s, m, cfg.horizon)
+    assert scores.tobytes() == reference.tobytes()
+
+
+def test_library_scoring_leaves_no_recurrent_cache():
+    model = CollisionPredictor(TINY, seed=1)
+    rng = np.random.default_rng(2)
+    model.score_library(rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=(4, 4, 4)))
+    assert model.gru._stack == []
+
+
+def test_non_finite_scores_raise():
+    model = CollisionPredictor(TINY, seed=1)
+    model.head.params["bias"][...] = np.nan
+    with pytest.raises(TrainingError):
+        model.score_library(np.zeros(6), np.zeros((2, 6)), np.zeros((3, 4, 4)))
+
+
+def test_multiple_perception_inputs_rejected():
+    model = CollisionPredictor(TINY, seed=1)
+    with pytest.raises(ShapeError):
+        model.score_library(np.zeros((2, 6)), np.zeros((2, 6)), np.zeros((3, 4, 4)))
 
 
 def test_dimension_mismatch_rejected():

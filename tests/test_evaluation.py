@@ -1,6 +1,9 @@
 """Reconstruction reports, campaign bookkeeping, vehicle privacy boundary."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from depthnav.camera import CameraModel, NoiseParams, clean_noise_params
 from depthnav.data import FrameSet
@@ -111,3 +114,36 @@ def test_blocked_course_times_out_without_collision():
     result = run_mission(world, 10.0, oracle_arm(), setup, seed=3)
     assert result.outcome == "timeout"
     assert result.telemetry["min_clearance"] > DynamicsParams().collision_radius
+
+
+# Digests of the flown path of one mission per learned arm, with
+# seed-initialized networks in a dense desk world.  They pin the whole closed
+# loop bit for bit: render, corrupt, encode, score_library, selection and
+# step_with_collision (the modular mission ends in a collision).
+MISSION_GOLDEN = {
+    "modular": ("collision", 16, "1ca2b974d288bc5f315c572df99ab647b461585c98ab6792141672f4f7224609"),
+    "end-to-end": ("timeout", 40, "082499f7276efa05e3dcde9cf678982a2472b9e5ada19ca8b92d138ad5ea639c"),
+}
+
+
+@pytest.mark.parametrize("arm", list(MISSION_GOLDEN))
+def test_learned_arm_mission_bit_identical(arm):
+    from dataclasses import replace
+
+    from depthnav.cpn import END_TO_END, CollisionPredictor, CpnConfig
+    from depthnav.evaluation import end_to_end_arm, modular_arm, run_mission
+    from depthnav.planner import PlannerConfig
+    from depthnav.vae import SemanticVae, VaeConfig
+    from depthnav.world import generate_world
+
+    world = generate_world(desk_world_params("dense", seed=3))
+    setup = replace(MissionSetup(), planner=PlannerConfig(max_cycles=40))
+    if arm == "modular":
+        factory = modular_arm(SemanticVae(VaeConfig(), seed=21),
+                              CollisionPredictor(CpnConfig(), seed=22))
+    else:
+        factory = end_to_end_arm(CollisionPredictor(CpnConfig(variant=END_TO_END), seed=23))
+    result = run_mission(world, 45.0, factory, setup, seed=5)
+    path = np.ascontiguousarray(result.telemetry["path"])
+    assert (result.outcome, result.cycles, hashlib.sha256(path.tobytes()).hexdigest()) == \
+        MISSION_GOLDEN[arm]

@@ -16,9 +16,11 @@ from depthnav.nn import (
     backward,
     conv_out_hw,
     forward,
+    lrelu_fingerprint,
     max_param_error,
     sample_latent,
     sample_latent_backward,
+    sigmoid,
 )
 
 F64 = np.float64
@@ -211,3 +213,37 @@ def test_network_level_forward_backward_wrappers():
     y = forward(net, x)
     dx = backward(net, np.ones_like(y))
     assert dx.shape == x.shape
+
+
+def _split_sigmoid(x):
+    """The sign-split reference form: exp never sees a positive argument."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_split_reference(dtype):
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 200.0, -200.0,
+                        88.7, -88.7, 745.0, -745.0, 1e-30, -1e-30], dtype=dtype)
+    x = np.concatenate([special] + [rng.normal(scale=s, size=20000).astype(dtype)
+                                    for s in (0.1, 1.0, 10.0, 100.0)])
+    for arr in (x, x.reshape(-1, 2)[:, ::-1]):
+        out = sigmoid(arr)
+        assert out.dtype == dtype and out.shape == arr.shape
+        assert out.tobytes() == _split_sigmoid(arr).tobytes()
+
+
+def test_lrelu_fingerprint_is_the_sign_pattern_of_the_latest_input():
+    act, dense = Activation("lrelu", 0.1), Dense(3, 3, name="d")
+    x = np.array([[1.0, -2.0, 0.0], [-0.5, 3.0, -0.0]], dtype=np.float32)
+    act.forward(x)
+    dense.forward(x)
+    assert np.array_equal(lrelu_fingerprint([act, dense]), np.packbits(x >= 0))
+    act.forward(-x)
+    assert np.array_equal(lrelu_fingerprint([act]), np.packbits(-x >= 0))
+    assert lrelu_fingerprint([dense]).size == 0

@@ -303,6 +303,70 @@ class TestDynamics:
             assert mat[:, -1].sum() > 0 and not mat[:, :-2].any()
 
 
+class TestStepWithCollision:
+    """step_with_collision only tests the obstacles within one interval's
+    reach; these compare it with every obstacle checked at every substep."""
+
+    @staticmethod
+    def _unfiltered(world, state, action, dt, params, substeps=5):
+        sub = dt / substeps
+        for _ in range(substeps):
+            state = step_dynamics(state, action, sub, params)
+            if check_collision(world, state.position, params.collision_radius):
+                return state, True
+        return state, False
+
+    def _assert_matches_unfiltered(self, world, start, actions, params=DynamicsParams()):
+        hits = []
+        for action in actions:
+            got, hit = step_with_collision(world, start, action, 0.25, params)
+            want, want_hit = self._unfiltered(world, start, action, 0.25, params)
+            assert hit == want_hit
+            for field in ("position", "yaw", "velocity", "yaw_rate", "roll", "pitch"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            hits.append(hit)
+        return np.array(hits)
+
+    def test_matches_unfiltered_in_dense_world_with_fast_starts(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        rng = np.random.default_rng(4)
+        hits = []
+        for _ in range(40):
+            pos = rng.uniform([1.0, 1.0, 0.6], [44.0, 14.0, 3.4])
+            if check_collision(world, pos, 0.3):
+                continue
+            velocity = rng.uniform(-1, 1, 3) * np.array([3.0, 1.0, 0.2])
+            start = RobotState(position=pos, yaw=rng.uniform(-np.pi, np.pi), velocity=velocity)
+            actions = rng.uniform(-1, 1, (8, 4)) * np.array([2.5, 0.5, 0.2, 0.8])
+            hits.extend(self._assert_matches_unfiltered(world, start, actions))
+        assert 0 < sum(hits) < len(hits)
+
+    def test_sees_rods_at_the_edge_of_reach(self):
+        # rods that only the end of the interval can reach, for a start
+        # faster than v_max and one at v_max, where the interval's travel
+        # plus the collision radius is a tight bound
+        rng = np.random.default_rng(8)
+        for speed, (near, far) in [(3.0, (0.85, 0.95)), (1.5, (0.62, 0.7))]:
+            ang, dist = rng.uniform(-0.8, 0.8, 5), rng.uniform(near, far, 5)
+            rods = np.stack([10 + dist * np.cos(ang), 10 + dist * np.sin(ang), np.full(5, 0.02),
+                             np.full(5, 3.0), np.arange(1.0, 6.0)], axis=1)
+            world = World(rods, np.zeros((0, 7)), (0, 0, 20, 20), 4.0)
+            start = RobotState(position=[10.0, 10.0, 1.0], yaw=0.0, velocity=[speed, 0.0, 0.0])
+            heading = rng.uniform(-0.8, 0.8, 48)
+            actions = np.zeros((48, 4))
+            actions[:, 0], actions[:, 1] = 3.0 * np.cos(heading), 3.0 * np.sin(heading)
+            hits = self._assert_matches_unfiltered(world, start, actions)
+            assert 0 < hits.sum() < len(hits)
+
+    def test_non_finite_state_rejected(self):
+        world = generate_world(desk_world_params("sparse", seed=1))
+        for pos, vel in [([np.nan, 7.0, 1.0], [0.0, 0.0, 0.0]), ([5.0, 7.0, 1.0], [np.inf, 0, 0]),
+                         ([5.0, 7.0, 1.0], [np.nan, 0, 0])]:
+            start = RobotState(position=pos, yaw=0.0, velocity=vel)
+            with np.errstate(invalid="ignore"), pytest.raises(WorldError):
+                step_with_collision(world, start, np.array([1.0, 0, 0, 0]), 0.25, DynamicsParams())
+
+
 class TestRollout:
     def _sensor(self):
         return lambda state: None  # frames are opaque to the rollout logic
