@@ -18,8 +18,22 @@ DTYPE = np.float32
 LOGVAR_CLAMP = 10.0  # log-variance is clamped to [-10, 10] before exp
 
 
+def _check_lrelu_slope(slope: float) -> None:
+    if not 0.0 <= slope <= 1.0:  # also false for NaN
+        raise ShapeError(f"lrelu slope {slope!r} is not a finite value in [0, 1]")
+
+
+def _lrelu_factor(x: np.ndarray, slope: float, dtype: np.dtype) -> np.ndarray:
+    # 1 where x >= 0, else slope: for a slope in [0, 1] that is max(x >= 0, slope),
+    # which avoids np.where's slow select and its float64 mask.
+    return np.maximum(x >= 0, dtype.type(slope), dtype=dtype)
+
+
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+    """np.where(x >= 0, x, slope * x), bit for bit.  Multiplying by the factor
+    rather than taking max(slope * x, x) keeps +inf at slope 0 (inf * 0 is NaN)."""
+    _check_lrelu_slope(slope)
+    return x * _lrelu_factor(x, slope, x.dtype)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -69,6 +83,14 @@ class Layer:
         return cache
 
 
+def _tap_span(tap: int, pad: int, stride: int, size: int, out: int) -> tuple[slice, slice]:
+    """For one kernel tap along one axis: the output positions o whose input
+    index o*stride + tap - pad lies in [0, size), and those input indices."""
+    lo = max(0, (pad - tap + stride - 1) // stride)
+    hi = max(lo, min(out, (size - 1 - tap + pad) // stride + 1))
+    return slice(lo, hi), slice(lo * stride + tap - pad, hi * stride + tap - pad, stride)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """Unfold (N,C,H,W) into patch columns of shape (N, C*kh*kw, Ho*Wo)."""
     n, c, h, w = x.shape
@@ -76,28 +98,32 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     wo = (w + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv: kernel {kh}x{kw} larger than padded input {h}x{w}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    # Taps on the zero border keep np.zeros' zeros, so no padded copy of x
+    # (np.pad) is built; each tap copies only its in-bounds window.
+    cols = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
     for i in range(kh):
+        rows_out, rows_in = _tap_span(i, pad, stride, h, ho)
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            cols_out, cols_in = _tap_span(j, pad, stride, w, wo)
+            cols[:, :, i, j, rows_out, cols_out] = x[:, :, rows_in, cols_in]
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """Adjoint of _im2col: fold patch columns back, summing overlaps."""
     n, c, h, w = x_shape
-    howo = cols.shape[2]
     ho = (h + 2 * pad - kh) // stride + 1
-    wo = howo // ho
+    wo = cols.shape[2] // ho
     cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    # No padded buffer (as np.pad would need): every element sums its in-bounds
+    # taps in the same order, and border taps only ever reached the padding.
+    x = np.zeros(x_shape, dtype=cols.dtype)
     for i in range(kh):
+        rows_out, rows_in = _tap_span(i, pad, stride, h, ho)
         for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
-    if pad:
-        return xp[:, :, pad:-pad, pad:-pad]
-    return xp
+            cols_out, cols_in = _tap_span(j, pad, stride, w, wo)
+            x[:, :, rows_in, cols_in] += cols6[:, :, i, j, rows_out, cols_out]
+    return x
 
 
 def conv_out_hw(hw, kernel, stride, pad):
@@ -254,6 +280,8 @@ class Activation(Layer):
         super().__init__(dtype)
         if fn not in ("lrelu", "sigmoid", "tanh", "linear"):
             raise ShapeError(f"unknown activation {fn!r}")
+        if fn == "lrelu":
+            _check_lrelu_slope(slope)
         self.fn = fn
         self.slope = slope
         self.name = name or fn
@@ -275,7 +303,7 @@ class Activation(Layer):
     def backward(self, dy):
         x, y = self._take_cache()
         if self.fn == "lrelu":
-            return dy * np.where(x >= 0, 1.0, self.slope).astype(dy.dtype)
+            return dy * _lrelu_factor(x, self.slope, dy.dtype)
         if self.fn == "sigmoid":
             return dy * y * (1.0 - y)
         if self.fn == "tanh":

@@ -1,9 +1,11 @@
 """Shared fixtures.  The session-scoped desk stack trains every model once
 for the acceptance suite; unit tests never touch it."""
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from depthnav.camera import CameraModel, NoiseParams
@@ -50,8 +52,40 @@ class DeskStack:
 STACK_TIMINGS = pytest.StashKey[dict]()
 
 
+def _blas_threads():
+    """Threads the loaded OpenBLAS reports, or None if it cannot be asked."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for fn in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+            if hasattr(lib, fn):
+                getter = getattr(lib, fn)
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def numerics_environment() -> str:
+    """numpy version, BLAS library and BLAS threads: the golden digests in
+    the suite are pinned on this numerics stack."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = "unknown BLAS"
+    return f"numpy {np.__version__}, {blas}, BLAS threads {_blas_threads()}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print how long each desk-stack stage took, when the fixture ran."""
+    """Print the numerics stack and, when the fixture ran, how long each
+    desk-stack stage took."""
+    terminalreporter.section("numerics")
+    terminalreporter.write_line(numerics_environment())
     timings = config.stash.get(STACK_TIMINGS, None)
     if timings:
         terminalreporter.section("desk stack timings")

@@ -73,3 +73,63 @@ def test_step_counter_and_moment_shapes():
     adam_step(params, grads, state)
     assert state.step == 2
     assert state.m["a"].shape == (2, 3) and state.v["b"].shape == (4,)
+
+
+def _temporaries_adam(params, grads, state):
+    """The textbook expressions with a fresh temporary per operation."""
+    state.step += 1
+    t, b1, b2 = state.step, state.beta1, state.beta2
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype,grad_dtype", [(np.float32, np.float32), (np.float64, np.float64),
+                                              (np.float32, np.float64), (np.float64, np.float32)])
+def test_update_bit_identical_to_temporaries_form(dtype, grad_dtype):
+    rng = np.random.default_rng(3)
+    shapes = {"conv.weight": (8, 4, 3, 3), "conv.bias": (8,), "dense.weight": (33, 17),
+              "gru.uz": (1,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state, ref_state = AdamState(lr=3e-3), AdamState(lr=3e-3)
+    for step in range(6):
+        grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)).astype(grad_dtype)
+                 for k, s in shapes.items()}
+        grads["conv.bias"][:2] = [0.0, -0.0]
+        adam_step(params, grads, state)
+        _temporaries_adam(ref_params, grads, ref_state)
+        assert state.step == ref_state.step == step + 1
+        for k in shapes:
+            assert params[k].dtype == dtype
+            assert params[k].tobytes() == ref_params[k].tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+
+
+@pytest.mark.parametrize("grads,name", [
+    ({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)}, "'c'"),  # gradient without parameter
+    ({"a": np.ones(2)}, "'b'"),                                    # parameter without gradient
+])
+def test_mismatched_names_rejected_before_any_update(grads, name):
+    params = {"a": np.zeros(2), "b": np.zeros(3)}
+    state = AdamState(lr=0.1)
+    adam_step(params, {"a": np.ones(2), "b": np.ones(3)}, state)
+    before = {k: v.copy() for k, v in params.items()}
+    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+    with pytest.raises(TrainingError, match=name):
+        adam_step(params, grads, state)
+    assert state.step == 1
+    for k in params:
+        assert np.array_equal(params[k], before[k])
+        assert np.array_equal(state.m[k], moments[k][0]) and np.array_equal(state.v[k], moments[k][1])

@@ -1,12 +1,13 @@
 """Collision predictor: score contracts, recurrent gradient check, training."""
 
 import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from depthnav.cpn import END_TO_END, CollisionPredictor, CpnConfig, binary_auc, train_cpn
-from depthnav.data import LatentCollisionSet
+from depthnav.data import CollisionSet, FrameSet, LatentCollisionSet
 from depthnav.errors import ShapeError, TrainingError
 from depthnav.nn import lrelu_fingerprint, max_param_error, sigmoid
 from depthnav.planner import LibraryConfig, build_library
@@ -141,6 +142,13 @@ def test_multiple_perception_inputs_rejected():
         model.score_library(np.zeros((2, 6)), np.zeros((2, 6)), np.zeros((3, 4, 4)))
 
 
+def test_bad_lrelu_slope_rejected():
+    for variant in ("modular", END_TO_END):
+        for slope in (2.0, -0.5, float("inf")):
+            with pytest.raises(ShapeError, match="slope"):
+                CollisionPredictor(CpnConfig(variant=variant, lrelu_slope=slope))
+
+
 def test_dimension_mismatch_rejected():
     model = CollisionPredictor(TINY, seed=0)
     with pytest.raises(ShapeError):
@@ -204,6 +212,38 @@ def test_same_seed_bit_identical_checkpoint(tmp_path):
         train_cpn(ds, TINY, seed=5, epochs=2, batch_size=32, out_dir=tmp_path / run)
     assert (tmp_path / "a" / "cpn_modular.ckpt").read_bytes() == \
         (tmp_path / "b" / "cpn_modular.ckpt").read_bytes()
+
+
+# Digests of seeded training runs of default-width predictors (horizon 4):
+# every parameter and every per-epoch statistic, bit for bit.
+TRAIN_GOLDEN = {
+    "modular": "bc5da9877ebf66d146a748689ebf4e650ef0d49b9a3905fdc94fcd03fa4e72d5",
+    END_TO_END: "cd9dd78a491f7a4b1d3771984f545e8d39e7fae8d965fe05c2902a1c58f3c6b6",
+}
+
+
+def _frame_ds(n=72, seed=0, T=4):
+    """Raw-frame windows at 60x80 with the toy data's collision rule."""
+    latent = _latent_ds(n, seed=seed, J=6, T=T)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.random((n, 60, 80)).astype(np.float32)
+    x[:, 20:40, 30:50] *= (0.5 + 0.5 * np.tanh(latent.mu[:, 0]))[:, None, None]
+    frames = FrameSet(x, np.ones(x.shape, np.uint8), np.zeros(x.shape, np.uint16))
+    return CollisionSet(frames, latent.states, latent.actions, latent.labels)
+
+
+@pytest.mark.parametrize("variant", ["modular", END_TO_END])
+def test_training_run_bit_identical(variant):
+    if variant == "modular":
+        ds, cfg = _latent_ds(160, seed=8), CpnConfig(latent_dim=6, horizon=4)
+    else:
+        ds, cfg = _frame_ds(72, seed=9), CpnConfig(variant=END_TO_END, horizon=4)
+    model, history = train_cpn(ds, cfg, seed=13, epochs=2, batch_size=32)
+    h = hashlib.sha256()
+    for arr in model.params().values():
+        h.update(arr.tobytes())
+    h.update(np.array([astuple(s) for s in history], dtype=np.float64).tobytes())
+    assert h.hexdigest() == TRAIN_GOLDEN[variant]
 
 
 def test_checkpoint_round_trip_preserves_predictions(tmp_path):

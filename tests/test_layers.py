@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from depthnav.errors import ShapeError
+from depthnav.nn.layers import _col2im, _im2col
 from depthnav.nn import (
     Activation,
     Conv2d,
@@ -16,6 +17,7 @@ from depthnav.nn import (
     backward,
     conv_out_hw,
     forward,
+    leaky_relu,
     lrelu_fingerprint,
     max_param_error,
     sample_latent,
@@ -247,3 +249,89 @@ def test_lrelu_fingerprint_is_the_sign_pattern_of_the_latest_input():
     act.forward(-x)
     assert np.array_equal(lrelu_fingerprint([act]), np.packbits(-x >= 0))
     assert lrelu_fingerprint([dense]).size == 0
+
+
+def _lrelu_inputs(dtype):
+    """Normal draws plus signed zeros, infinities, NaNs and the smallest
+    normal and subnormal magnitudes."""
+    info = np.finfo(dtype)
+    tiny = [info.tiny, info.smallest_subnormal, 3 * info.smallest_subnormal, info.max]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan] + tiny + [-t for t in tiny],
+                       dtype=dtype)
+    rng = np.random.default_rng(1)
+    return np.concatenate([special, rng.normal(scale=3.0, size=5000).astype(dtype)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+def test_lrelu_bit_identical_to_where_reference(dtype, slope):
+    x = _lrelu_inputs(dtype)
+    dy = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
+    dy[:6] = [1.0, -1.0, np.inf, 2.0, -np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        ref_y = np.where(x >= 0, x, slope * x)
+        ref_dx = dy * np.where(x >= 0, 1.0, slope).astype(dy.dtype)
+        act = Activation("lrelu", slope, dtype=dtype)
+        for arr, ref in ((x, ref_y), (x.reshape(-1, 2)[:, ::-1], ref_y.reshape(-1, 2)[:, ::-1])):
+            assert leaky_relu(arr, slope).tobytes() == ref.tobytes()
+            y = act.forward(arr)
+            assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+        act.forward(x)
+        dx = act.backward(dy)
+    assert dx.dtype == dtype and dx.tobytes() == ref_dx.tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, 2.0, np.nan, np.inf, -np.inf])
+def test_lrelu_rejects_slopes_outside_unit_interval(slope):
+    with pytest.raises(ShapeError, match="slope"):
+        Activation("lrelu", slope)
+    with pytest.raises(ShapeError, match="slope"):
+        leaky_relu(np.ones(3, np.float32), slope)
+    Activation("tanh", slope)  # the slope only matters to lrelu
+
+
+def _padded_im2col(x, kh, kw, stride, pad):
+    """Reference unfold through an np.pad copy of the input."""
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
+
+
+def _padded_col2im(cols, x_shape, kh, kw, stride, pad):
+    """Reference fold that accumulates into a padded buffer, then crops it."""
+    n, c, h, w = x_shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = cols.shape[2] // ho
+    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("hw", [(7, 9), (8, 10), (5, 6), (2, 3), (1, 1)])
+def test_unfold_and_fold_bit_identical_to_padded_reference(dtype, k, stride, hw):
+    rng = np.random.default_rng(k * 10 + stride)
+    x = rng.normal(size=(3, 2, *hw)).astype(dtype)
+    for pad in sorted({0, k // 2}):
+        if min(hw) + 2 * pad < k:
+            with pytest.raises(ShapeError):
+                _im2col(x, k, k, stride, pad)
+            continue
+        cols, ho, wo = _im2col(x, k, k, stride, pad)
+        assert (ho, wo) == conv_out_hw(hw, (k, k), stride, pad)
+        assert cols.dtype == dtype and cols.tobytes() == _padded_im2col(x, k, k, stride, pad).tobytes()
+        dcols = rng.normal(size=cols.shape).astype(dtype)
+        folded = _col2im(dcols, x.shape, k, k, stride, pad)
+        ref = _padded_col2im(dcols, x.shape, k, k, stride, pad)
+        assert folded.shape == x.shape and folded.tobytes() == ref.tobytes()

@@ -1,5 +1,8 @@
 """Autoencoder model behavior: determinism, contracts, training progress,
-persistence, and the full-loss gradient check."""
+persistence, golden training digests, and the full-loss gradient check."""
+
+import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -120,6 +123,56 @@ def test_same_seed_gives_bit_identical_checkpoints(tmp_path):
         (tmp_path / "b" / "sevae_losses.csv").read_bytes()
 
 
+# Digests of seeded training runs and of encode_batch at the default 60x80
+# size.  They pin every parameter and every per-epoch loss bit for bit: a
+# change to the order of any float operation in a training kernel (layers,
+# activations, Adam) moves them.
+TRAIN_GOLDEN = {
+    "semantic": "6958e4184e4e1a48753fd9ccacedc8c4723bbaa3c70a6bc49f9c8b9d8511cb57",
+    "vanilla": "8384461ecb5a49857ed04b8703b48354661cbc6ec6a023b78e30badae73ce442",
+}
+ENCODE_GOLDEN = "39653ecce7e16dc92644987923fefc2ab77d688c6fb64dbb2c5436e80ce6e182"
+
+
+def _golden_frames(n, seed):
+    """60x80 frames with a thin rod and a block per frame; both instances are
+    larger than p_min, so the semantic and vanilla runs weigh pixels apart."""
+    frames = _toy_frames(n, h=60, w=80, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for i in range(n):
+        c = int(rng.integers(5, 75))
+        frames.x[i, 10:40, c : c + 2] = rng.uniform(0.05, 0.2)
+        frames.seg[i, 10:40, c : c + 2] = 2
+        r = int(rng.integers(40, 50))
+        frames.seg[i, r : r + 8, 60:72] = 3
+    frames.x[frames.valid == 0] = 0.0
+    frames.seg[frames.valid == 0] = 0
+    return frames
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["semantic", "vanilla"])
+def test_training_run_bit_identical(kind):
+    frames = _golden_frames(44, seed=21)
+    model, history = train_vae(frames, VaeConfig(), seed=7, epochs=2, lr=1e-3, batch_size=16,
+                               vanilla=kind == "vanilla")
+    losses = np.array([astuple(s) for s in history], dtype=np.float64)
+    assert _digest(*model.params().values(), losses) == TRAIN_GOLDEN[kind]
+
+
+def test_encode_batch_bit_identical():
+    frames = _golden_frames(64, seed=22)
+    mu, logvar = SemanticVae(VaeConfig(), seed=23).encode_batch(frames.x)
+    assert mu.shape == logvar.shape == (64, 32) and mu.dtype == np.float32
+    assert _digest(mu, logvar) == ENCODE_GOLDEN
+
+
 def test_checkpoint_round_trip_preserves_model_exactly(tmp_path):
     frames = _toy_frames(30, seed=8)
     model, _ = train_vae(frames, TINY, seed=3, epochs=1, lr=1e-3, batch_size=16)
@@ -129,6 +182,12 @@ def test_checkpoint_round_trip_preserves_model_exactly(tmp_path):
     mu_a, lv_a = model.encode_batch(frames.x[:4])
     mu_b, lv_b = loaded.encode_batch(frames.x[:4])
     assert np.array_equal(mu_a, mu_b) and np.array_equal(lv_a, lv_b)
+
+
+def test_bad_lrelu_slope_rejected():
+    for slope in (2.0, -0.5, float("nan")):
+        with pytest.raises(ShapeError, match="slope"):
+            SemanticVae(VaeConfig(lrelu_slope=slope))
 
 
 def test_empty_dataset_rejected():
