@@ -9,16 +9,18 @@ suite, which runs the full desk-scale protocol.
 
 import time
 
-from depthnav.camera import CameraModel, NoiseParams
+from depthnav.config import AppConfig, DatasetSettings, TrainSettings
 from depthnav.evaluation import MissionSetup, end_to_end_arm, modular_arm, run_campaign
 from depthnav.pipeline import train_full_stack
 
+cfg = AppConfig(train=TrainSettings(vae_epochs=12, cpn_epochs=12, e2e_epochs=12),
+                dataset=DatasetSettings(vae_frames=500, episodes=80))
 t0 = time.time()
-stack = train_full_stack(seed=3, n_frames=500, n_episodes=80, vae_epochs=12,
-                         cpn_epochs=12, e2e_epochs=12, log_every=4)
-print(f"\ntrained everything in {time.time() - t0:.0f} s")
+stack = train_full_stack(cfg, seed=3, log_every=4)
+print(f"\ntrained everything in {time.time() - t0:.0f} s "
+      f"({', '.join(f'{k} {v:.0f} s' for k, v in stack.timings.items())})")
 
-setup = MissionSetup(camera=CameraModel(), noise=NoiseParams())
+setup = MissionSetup(camera=cfg.camera, noise=cfg.noise)
 report = run_campaign(
     {"modular": modular_arm(stack.sevae, stack.cpn_modular),
      "end-to-end": end_to_end_arm(stack.cpn_end_to_end)},

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraModel, NoiseParams
+from .camera import CameraModel, NoiseParams, paper_camera
 from .errors import ConfigError
 from .planner import LibraryConfig, PlannerConfig
-from .vae import VaeConfig
+from .vae import VaeConfig, paper_vae_config
 from .world import DynamicsParams
 
 
@@ -110,12 +110,9 @@ def load_config(path=None) -> AppConfig:
         raise ConfigError(f"[run] environment must be sparse/medium/dense, got {env!r}")
     dt = _get(parser, "run", "dt", float, cfg.dt)
 
-    if scale == "paper":
-        cam_default = CameraModel(height=270, width=480, max_range=10.0)
-        vae_default = VaeConfig(height=270, width=480, latent_dim=128)
-    else:
-        cam_default = CameraModel()
-        vae_default = VaeConfig()
+    paper = scale == "paper"
+    cam_default = paper_camera() if paper else CameraModel()
+    vae_default = paper_vae_config() if paper else VaeConfig()
 
     camera = CameraModel(
         height=_get(parser, "camera", "height", int, cam_default.height),

@@ -22,26 +22,21 @@ no semantic weighting, and clean simulated frames only.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, TrainingError
 from .nn import (
     Activation,
-    AdamState,
     Conv2d,
     Dense,
-    Entry,
     Flatten,
     GRUCell,
+    Model,
     Sequential,
-    adam_step,
     conv_out_hw,
-    load_checkpoint,
-    save_checkpoint,
+    fit,
     sigmoid,
 )
 
@@ -71,11 +66,13 @@ class CpnConfig:
             raise ShapeError(f"unknown variant {self.variant!r}")
 
 
-class CollisionPredictor:
+class CollisionPredictor(Model):
     """Scores action sequences; see score_library for the batched form."""
 
+    kind = "cpn"
+    config_type = CpnConfig
+
     def __init__(self, cfg: CpnConfig, seed: int = 0, dtype=np.float32):
-        self.cfg = cfg
         rng = np.random.default_rng(seed)
         sl = cfg.lrelu_slope
         if cfg.variant == MODULAR:
@@ -109,35 +106,9 @@ class CollisionPredictor:
         ])
         self.gru = GRUCell(cfg.action_embed, cfg.hidden, rng=rng, name="gru", dtype=dtype)
         self.head = Dense(cfg.hidden, 1, rng=rng, name="head", dtype=dtype)
-
-    def _nets(self):
-        return [self.perception, self.state_emb, self.h0_net, self.action_emb]
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for net in self._nets():
-            out.update(net.params())
-        for key, val in self.gru.params.items():
-            out[f"gru.{key}"] = val
-        for key, val in self.head.params.items():
-            out[f"head.{key}"] = val
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for net in self._nets():
-            out.update(net.grads())
-        for key, val in self.gru.grads.items():
-            out[f"gru.{key}"] = val
-        for key, val in self.head.grads.items():
-            out[f"head.{key}"] = val
-        return out
-
-    def zero_grad(self):
-        for net in self._nets():
-            net.zero_grad()
-        self.gru.zero_grad()
-        self.head.zero_grad()
+        super().__init__(cfg, [*self.perception.layers, *self.state_emb.layers,
+                               *self.h0_net.layers, *self.action_emb.layers,
+                               self.gru, self.head])
 
     # -- forward/backward core ------------------------------------------------
     def _perception_input(self, perception):
@@ -259,43 +230,6 @@ class CollisionPredictor:
         self._backward_logits(dlogits.astype(logits.dtype))
         return loss
 
-    # -- persistence -----------------------------------------------------------
-    def _layers(self):
-        out = []
-        for net in self._nets():
-            out.extend(net.layers)
-        out.extend([self.gru, self.head])
-        return out
-
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        entries = {}
-        for layer in self._layers():
-            for key, arr in layer.params.items():
-                entries[f"{layer.name}.{key}"] = Entry(layer.kind, layer.stride, arr)
-        meta = {"kind": "cpn", "config": asdict(self.cfg)}
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, entries, meta)
-
-    @classmethod
-    def load(cls, path) -> "CollisionPredictor":
-        meta, entries = load_checkpoint(path)
-        if meta.get("kind") != "cpn":
-            raise TrainingError(f"{path}: not a collision-predictor checkpoint")
-        raw = dict(meta["config"])
-        raw["image_hw"] = tuple(raw["image_hw"])
-        raw["e2e_channels"] = tuple(raw["e2e_channels"])
-        model = cls(CpnConfig(**raw), seed=0)
-        for layer in model._layers():
-            for key, arr in layer.params.items():
-                name = f"{layer.name}.{key}"
-                if name not in entries:
-                    raise TrainingError(f"{path}: missing parameter {name!r}")
-                if entries[name].array.shape != arr.shape:
-                    raise TrainingError(f"{path}: shape mismatch for {name!r}")
-                arr[...] = entries[name].array
-        return model
-
 
 # ---------------------------------------------------------------------------
 # Metrics and training loop
@@ -348,40 +282,27 @@ def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
               out_dir=None, log_every: int = 0) -> tuple[CollisionPredictor, list[CpnEpochStats]]:
     """Train a predictor on d' (modular) or d (end-to-end) datapoints."""
     perception, states, actions, labels = _dataset_views(ds, cfg.variant)
-    n = len(states)
-    if n == 0:
-        raise TrainingError("empty dataset")
     if actions.shape[1] != cfg.horizon:
         raise ShapeError(f"dataset horizon {actions.shape[1]} != config horizon {cfg.horizon}")
-
-    rng = np.random.default_rng(seed)
-    model = CollisionPredictor(cfg, seed=int(rng.integers(2**31)))
-    order = rng.permutation(n)
-    n_train = max(1, int(round(split_ratio * n)))
-    tr, va = order[:n_train], order[n_train:]
-    if len(va) == 0:
-        va = tr[:1]
-
-    y_train = labels[tr]
-    n_pos = max(1, int((y_train > 0).sum()))
-    n_neg = y_train.size - n_pos
-    pos_weight = float(min(pos_weight_cap, max(1.0, n_neg / n_pos)))
-
-    state = AdamState(lr=lr)
-    history: list[CpnEpochStats] = []
-
     states_f = states.astype(np.float32)
     actions_f = actions.astype(np.float32)
+    meta = {"seed": seed, "epochs": epochs, "lr": lr}
 
-    def batch_perception(idx):
-        return perception[idx]
+    def weigh_positives(tr):  # the training split's class balance sets pos_weight
+        y_train = labels[tr]
+        n_pos = max(1, int((y_train > 0).sum()))
+        meta["pos_weight"] = float(min(pos_weight_cap, max(1.0, (y_train.size - n_pos) / n_pos)))
 
-    def evaluate():
+    def batch_loss(model, idx):
+        return model.loss_and_grads(perception[idx], states_f[idx], actions_f[idx], labels[idx],
+                                    meta["pos_weight"])
+
+    def validate(model, va):
         bce_sum, count = 0.0, 0
         scores_all, labels_all = [], []
         for lo in range(0, len(va), batch_size):
             idx = va[lo : lo + batch_size]
-            pe = model.perception.forward(model._perception_input(batch_perception(idx)))
+            pe = model.perception.forward(model._perception_input(perception[idx]))
             se = model.state_emb.forward(states_f[idx])
             logits = model._forward_logits(pe, se, actions_f[idx])
             y = labels[idx].astype(np.float64)
@@ -396,36 +317,9 @@ def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
         acc = float(((scores >= 0.5) == (ys > 0)).mean())
         return bce_sum / count, binary_auc(scores, ys), acc
 
-    for epoch in range(1, epochs + 1):
-        perm = rng.permutation(len(tr))
-        loss_sum, batches = 0.0, 0
-        for lo in range(0, len(tr), batch_size):
-            idx = tr[perm[lo : lo + batch_size]]
-            model.zero_grad()
-            loss = model.loss_and_grads(batch_perception(idx), states_f[idx],
-                                        actions_f[idx], labels[idx], pos_weight)
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged (non-finite loss at epoch {epoch})")
-            adam_step(model.params(), model.grads(), state)
-            loss_sum += loss
-            batches += 1
-        val_bce, val_auc, val_acc = evaluate()
-        stats = CpnEpochStats(epoch, loss_sum / batches, val_bce, val_auc, val_acc)
-        history.append(stats)
-        if log_every and epoch % log_every == 0:
-            print(f"[cpn:{cfg.variant}] epoch {epoch:3d}  train {stats.train_bce:.4f}  "
-                  f"val {val_bce:.4f}  auc {val_auc:.3f}  acc {val_acc:.3f}")
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = "cpn_modular" if cfg.variant == MODULAR else "cpn_end_to_end"
-        model.save(out_dir / f"{stem}.ckpt",
-                   extra_meta={"seed": seed, "epochs": epochs, "lr": lr,
-                               "pos_weight": pos_weight})
-        with open(out_dir / f"{stem}_metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "bce", "auc", "acc"])
-            for s in history:
-                writer.writerow([s.epoch, f"{s.val_bce:.9g}", f"{s.val_auc:.9g}", f"{s.val_acc:.9g}"])
-    return model, history
+    stem = "cpn_modular" if cfg.variant == MODULAR else "cpn_end_to_end"
+    return fit(lambda s: CollisionPredictor(cfg, seed=s), np.random.default_rng(seed),
+               len(states), batch_loss, validate, CpnEpochStats, epochs=epochs, lr=lr,
+               batch_size=batch_size, split_ratio=split_ratio, tag=f"cpn:{cfg.variant}",
+               out_dir=out_dir, stem=stem, csv_name=f"{stem}_metrics.csv", meta=meta,
+               log_every=log_every, on_split=weigh_positives)

@@ -418,7 +418,7 @@ class GRUCell(Layer):
 
 
 class Sequential:
-    """Plain layer stack.  Parameter names are '<layer.name>.<param>'."""
+    """Plain layer stack."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -432,24 +432,6 @@ class Sequential:
         for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for key, value in layer.params.items():
-                out[f"{layer.name}.{key}"] = value
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for key, value in layer.grads.items():
-                out[f"{layer.name}.{key}"] = value
-        return out
-
-    def zero_grad(self):
-        for layer in self.layers:
-            layer.zero_grad()
 
 
 def forward(network: Sequential, x: np.ndarray) -> np.ndarray:

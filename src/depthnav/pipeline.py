@@ -4,10 +4,14 @@ together.  Everything is reproducible from (config, seed)."""
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+
 import numpy as np
 
 from .camera import CameraModel, NoiseParams, corrupt, render_from_state
-from .cpn import CpnConfig, train_cpn
+from .config import AppConfig, world_params_fn
+from .cpn import END_TO_END, MODULAR, CollisionPredictor, CpnConfig, train_cpn
 from .data import (
     CollisionSet,
     FrameSet,
@@ -17,7 +21,7 @@ from .data import (
     with_flip_augmentation,
 )
 from .errors import DatasetError, WorldError
-from .vae import SemanticVae, VaeConfig, train_vae
+from .vae import SemanticVae, train_vae
 from .world import (
     DynamicsParams,
     desk_world_params,
@@ -177,38 +181,56 @@ def build_latent_dataset(ds_clean: CollisionSet, vae: SemanticVae, noise: NoiseP
 # One-call training pipeline (used by tests, demos, and the CLI)
 # ---------------------------------------------------------------------------
 
+@dataclass
 class TrainedStack:
-    """Everything the campaign needs: both VAEs and both predictors."""
+    """Everything the campaign needs: both VAEs and both predictors, their
+    training data, and each stage's wall time in seconds."""
 
-    def __init__(self, sevae, vanilla_vae, cpn_modular, cpn_end_to_end,
-                 corpus_clean, corpus_noisy, collisions_clean):
-        self.sevae = sevae
-        self.vanilla_vae = vanilla_vae
-        self.cpn_modular = cpn_modular
-        self.cpn_end_to_end = cpn_end_to_end
-        self.corpus_clean = corpus_clean
-        self.corpus_noisy = corpus_noisy
-        self.collisions_clean = collisions_clean
+    sevae: SemanticVae
+    vanilla_vae: SemanticVae
+    cpn_modular: CollisionPredictor
+    cpn_end_to_end: CollisionPredictor
+    corpus_clean: FrameSet
+    corpus_noisy: FrameSet
+    collisions_clean: CollisionSet
+    timings: dict[str, float]
 
 
-def train_full_stack(seed: int = 0, n_frames: int = 2000, n_episodes: int = 350,
-                     camera: CameraModel = CameraModel(), noise: NoiseParams = NoiseParams(),
-                     vae_cfg: VaeConfig = VaeConfig(), vae_epochs: int = 40,
-                     cpn_epochs: int = 25, e2e_epochs: int = 25, horizon: int = 10,
-                     dt: float = 0.25, out_dir=None, log_every: int = 0) -> TrainedStack:
-    """Corpus -> seVAE + vanilla VAE -> collision data -> both predictors."""
-    clean, noisy = render_vae_corpus(n_frames, camera, noise, seed=seed + 1)
-    sevae, _ = train_vae(noisy, vae_cfg, seed=seed + 2, epochs=vae_epochs,
-                         out_dir=out_dir, log_every=log_every)
-    vanilla, _ = train_vae(noisy, vae_cfg, seed=seed + 2, epochs=vae_epochs, vanilla=True,
-                           out_dir=out_dir, log_every=log_every)
-    collisions = collect_collision_data(n_episodes, camera, seed=seed + 3,
-                                        horizon=horizon, dt=dt)
-    latents = build_latent_dataset(collisions, sevae, noise, seed=seed + 4, max_range=camera.max_range)
-    cpn_mod, _ = train_cpn(latents, CpnConfig(variant="modular", latent_dim=vae_cfg.latent_dim,
+def train_full_stack(cfg: AppConfig, seed: int, out_dir=None,
+                     log_every: int = 0) -> TrainedStack:
+    """Corpus -> seVAE + vanilla VAE -> collision data -> both predictors,
+    every size and schedule taken from cfg; stage seeds are seed + 1 .. 6."""
+    worlds, horizon = world_params_fn(cfg), cfg.dataset.horizon
+    saving = {"out_dir": out_dir, "log_every": log_every}
+    timings = {}
+    t0 = time.perf_counter()
+    clean, noisy = render_vae_corpus(cfg.dataset.vae_frames, cfg.camera, cfg.noise,
+                                     seed=seed + 1, world_params_fn=worlds)
+    timings["corpus"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    vae_schedule = {"epochs": cfg.train.vae_epochs, "lr": cfg.train.vae_lr,
+                    "batch_size": cfg.train.vae_batch, **saving}
+    sevae, _ = train_vae(noisy, cfg.vae, seed=seed + 2, **vae_schedule)
+    vanilla, _ = train_vae(noisy, cfg.vae, seed=seed + 2, vanilla=True, **vae_schedule)
+    timings["vae_training"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    collisions = collect_collision_data(cfg.dataset.episodes, cfg.camera, seed=seed + 3,
+                                        horizon=horizon, dt=cfg.dt,
+                                        max_steps=cfg.dataset.max_steps,
+                                        world_params_fn=worlds, dynamics=cfg.dynamics)
+    timings["collisions"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    latents = build_latent_dataset(collisions, sevae, cfg.noise, seed=seed + 4,
+                                   max_range=cfg.camera.max_range)
+    cpn_schedule = {"lr": cfg.train.cpn_lr, "batch_size": cfg.train.cpn_batch, **saving}
+    cpn_mod, _ = train_cpn(latents, CpnConfig(variant=MODULAR, latent_dim=cfg.vae.latent_dim,
                                               horizon=horizon),
-                           seed=seed + 5, epochs=cpn_epochs, out_dir=out_dir, log_every=log_every)
-    cpn_e2e, _ = train_cpn(collisions, CpnConfig(variant="end-to-end", horizon=horizon,
-                                                 image_hw=(camera.height, camera.width)),
-                           seed=seed + 6, epochs=e2e_epochs, out_dir=out_dir, log_every=log_every)
-    return TrainedStack(sevae, vanilla, cpn_mod, cpn_e2e, clean, noisy, collisions)
+                           seed=seed + 5, epochs=cfg.train.cpn_epochs, **cpn_schedule)
+    cpn_e2e, _ = train_cpn(collisions, CpnConfig(variant=END_TO_END, horizon=horizon,
+                                                 image_hw=(cfg.camera.height, cfg.camera.width)),
+                           seed=seed + 6, epochs=cfg.train.e2e_epochs, **cpn_schedule)
+    timings["cpn_training"] = time.perf_counter() - t0
+    return TrainedStack(sevae, vanilla, cpn_mod, cpn_e2e, clean, noisy, collisions, timings)

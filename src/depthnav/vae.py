@@ -15,29 +15,24 @@ zero.  L_KL is the (non-negative) divergence from the unit Gaussian.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, TrainingError
 from .nn import (
     Activation,
-    AdamState,
     Conv2d,
     Deconv2d,
     Dense,
-    Entry,
     Flatten,
+    Model,
     Reshape,
     Sequential,
-    adam_step,
     conv_out_hw,
-    load_checkpoint,
+    fit,
     sample_latent,
     sample_latent_backward,
-    save_checkpoint,
 )
 from .nn.layers import LOGVAR_CLAMP
 
@@ -131,11 +126,13 @@ def total_loss(x, x_recon, x_val, x_seg, mu, logvar, cfg: VaeConfig) -> float:
 # Model
 # ---------------------------------------------------------------------------
 
-class SemanticVae:
+class SemanticVae(Model):
     """Encoder/decoder pair; parameters live in the layer objects."""
 
+    kind = "sevae"
+    config_type = VaeConfig
+
     def __init__(self, cfg: VaeConfig, seed: int = 0, dtype=np.float32):
-        self.cfg = cfg
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         k = (cfg.kernel, cfg.kernel)
@@ -172,34 +169,8 @@ class SemanticVae:
             in_ch = ch
         dec.append(Activation("sigmoid", name="deco", dtype=dtype))
         self.decoder = Sequential(dec)
-
-    # -- parameter plumbing ------------------------------------------------
-    def params(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder.params())
-        for key, val in self.mu_head.params.items():
-            out[f"mu.{key}"] = val
-        for key, val in self.logvar_head.params.items():
-            out[f"logvar.{key}"] = val
-        out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder.grads())
-        for key, val in self.mu_head.grads.items():
-            out[f"mu.{key}"] = val
-        for key, val in self.logvar_head.grads.items():
-            out[f"logvar.{key}"] = val
-        out.update({f"dec.{k}": v for k, v in self.decoder.grads().items()})
-        return out
-
-    def zero_grad(self):
-        self.encoder.zero_grad()
-        self.mu_head.zero_grad()
-        self.logvar_head.zero_grad()
-        self.decoder.zero_grad()
-
-    def _all_layers(self):
-        return self.encoder.layers + [self.mu_head, self.logvar_head] + self.decoder.layers
+        super().__init__(cfg, self.encoder.layers + [self.mu_head, self.logvar_head]
+                         + self.decoder.layers)
 
     # -- inference ----------------------------------------------------------
     def _check_hw(self, arr):
@@ -275,38 +246,6 @@ class SemanticVae:
         self.encoder.backward(dh)
         return total, recon_mean, kl_mean
 
-    # -- persistence ----------------------------------------------------------
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        entries = {}
-        for layer in self._all_layers():
-            for key, arr in layer.params.items():
-                entries[f"{layer.name}.{key}"] = Entry(layer.kind, layer.stride, arr)
-        meta = {"kind": "sevae", "config": asdict(self.cfg)}
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, entries, meta)
-
-    @classmethod
-    def load(cls, path) -> "SemanticVae":
-        meta, entries = load_checkpoint(path)
-        if meta.get("kind") != "sevae":
-            raise TrainingError(f"{path}: not an autoencoder checkpoint")
-        raw = dict(meta["config"])
-        raw["enc_channels"] = tuple(raw["enc_channels"])
-        model = cls(VaeConfig(**raw), seed=0)
-        own = {}
-        for layer in model._all_layers():
-            for key, arr in layer.params.items():
-                own[f"{layer.name}.{key}"] = arr
-        for name, arr in own.items():
-            if name not in entries:
-                raise TrainingError(f"{path}: missing parameter {name!r}")
-            stored = entries[name].array
-            if stored.shape != arr.shape:
-                raise TrainingError(f"{path}: shape mismatch for {name!r}")
-            arr[...] = stored
-        return model
-
 
 # ---------------------------------------------------------------------------
 # Training
@@ -333,76 +272,38 @@ def train_vae(frames, cfg: VaeConfig, seed: int, epochs: int = 40, lr: float = 1
     x = np.asarray(frames.x, dtype=np.float32)
     valid = np.asarray(frames.valid)
     seg = np.asarray(frames.seg)
-    n = x.shape[0]
-    if n == 0:
-        raise TrainingError("empty dataset")
     if x.shape[1:] != (cfg.height, cfg.width):
         raise ShapeError(f"frames are {x.shape[1:]}, config wants {(cfg.height, cfg.width)}")
 
-    rng = np.random.default_rng(seed)
-    model = SemanticVae(cfg, seed=int(rng.integers(2**31)))
-
     # per-frame validity*weight product, fixed for the whole run
     val_lam = np.empty_like(x)
-    for i in range(n):
+    for i in range(len(x)):
         lam = np.ones_like(x[i]) if vanilla else semantic_weight_mask(
             seg[i], cfg.w_const, cfg.nu_min, cfg.p_min)
         val_lam[i] = (valid[i] > 0).astype(np.float32) * lam
 
-    order = rng.permutation(n)
-    n_train = int(round(split_ratio * n)) if n > 1 else 1
-    train_idx, val_idx = order[:n_train], order[n_train:]
-    if len(val_idx) == 0:
-        val_idx = train_idx[:1]
+    rng = np.random.default_rng(seed)
 
-    state = AdamState(lr=lr)
-    history: list[EpochStats] = []
-    j = cfg.latent_dim
+    def batch_loss(model, idx):
+        eps = rng.standard_normal((len(idx), cfg.latent_dim)).astype(np.float32)
+        return model.loss_and_grads(x[idx], val_lam[idx], eps)[0]
 
-    def validation_stats():
+    def validate(model, va):
         recon_sum, kl_sum = 0.0, 0.0
-        for lo in range(0, len(val_idx), batch_size):
-            idx = val_idx[lo : lo + batch_size]
+        for lo in range(0, len(va), batch_size):
+            idx = va[lo : lo + batch_size]
             mu, logvar = model.encode_batch(x[idx])
             x_rec = model.decode_batch(mu)
             diff = (x_rec - x[idx]).astype(np.float64)
             recon_sum += float(np.sum(diff * diff * val_lam[idx]))
             kl_sum += float(_kl_batch(mu.astype(np.float64), logvar.astype(np.float64)).sum())
-        m = len(val_idx)
-        return recon_sum / m, kl_sum / m
+        recon, kl = recon_sum / len(va), kl_sum / len(va)
+        return recon + cfg.beta_norm * kl, recon, kl
 
-    for epoch in range(1, epochs + 1):
-        perm = rng.permutation(len(train_idx))
-        epoch_loss, batches = 0.0, 0
-        for lo in range(0, len(train_idx), batch_size):
-            idx = train_idx[perm[lo : lo + batch_size]]
-            eps = rng.standard_normal((len(idx), j)).astype(np.float32)
-            model.zero_grad()
-            loss, _, _ = model.loss_and_grads(x[idx], val_lam[idx], eps)
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged (non-finite loss at epoch {epoch})")
-            adam_step(model.params(), model.grads(), state)
-            epoch_loss += loss
-            batches += 1
-        val_recon, val_kl = validation_stats()
-        stats = EpochStats(epoch, epoch_loss / batches,
-                           val_recon + cfg.beta_norm * val_kl, val_recon, val_kl)
-        history.append(stats)
-        if log_every and epoch % log_every == 0:
-            print(f"[vae] epoch {epoch:3d}  train {stats.train_loss:10.3f}  "
-                  f"val {stats.val_loss:10.3f} (recon {val_recon:.3f}, kl {val_kl:.3f})")
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = "vanilla_vae" if vanilla else "sevae"
-        model.save(out_dir / f"{name}.ckpt", extra_meta={
-            "semantic_weighting": not vanilla, "seed": seed, "epochs": epochs, "lr": lr,
-        })
-        with open(out_dir / f"{name}_losses.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "val_recon", "val_kl"])
-            for s in history:
-                writer.writerow([s.epoch, f"{s.train_loss:.9g}", f"{s.val_loss:.9g}",
-                                 f"{s.val_recon:.9g}", f"{s.val_kl:.9g}"])
-    return model, history
+    name = "vanilla_vae" if vanilla else "sevae"
+    return fit(lambda s: SemanticVae(cfg, seed=s), rng, len(x), batch_loss, validate,
+               EpochStats, epochs=epochs, lr=lr, batch_size=batch_size,
+               split_ratio=split_ratio, tag="vae", out_dir=out_dir, stem=name,
+               csv_name=f"{name}_losses.csv", log_every=log_every,
+               meta={"semantic_weighting": not vanilla, "seed": seed, "epochs": epochs,
+                     "lr": lr})

@@ -26,7 +26,6 @@ from .errors import WorldError
 
 ACTION_DIM = 4
 PARTIAL_STATE_DIM = 6
-THIN_CROSS_SECTION = 0.05  # m; below this an obstacle counts as thin
 
 GRAVITY = 9.81
 
@@ -174,10 +173,6 @@ class World:
     def thin_instance_ids(self) -> np.ndarray:
         ids = np.concatenate([self.cylinders[:, 4], self.boxes[:, 6]]) if self.obstacle_count else np.zeros(0)
         return np.unique(ids[ids >= 1]).astype(np.int64)
-
-
-def _is_thin_cyl(radius: float) -> bool:
-    return 2.0 * radius < THIN_CROSS_SECTION
 
 
 def generate_world(params: WorldGenParams) -> World:

@@ -2,6 +2,7 @@
 for the acceptance suite; unit tests never touch it."""
 
 import ctypes
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -9,15 +10,12 @@ import numpy as np
 import pytest
 
 from depthnav.camera import CameraModel, NoiseParams
-from depthnav.cpn import CollisionPredictor, CpnConfig, train_cpn
+from depthnav.config import AppConfig, DatasetSettings, TrainSettings
+from depthnav.cpn import CollisionPredictor
 from depthnav.data import CollisionSet, FrameSet
 from depthnav.evaluation import MissionSetup
-from depthnav.pipeline import (
-    build_latent_dataset,
-    collect_collision_data,
-    render_vae_corpus,
-)
-from depthnav.vae import SemanticVae, VaeConfig, train_vae
+from depthnav.pipeline import render_vae_corpus, train_full_stack
+from depthnav.vae import SemanticVae, VaeConfig
 
 STACK_SEED = 0
 
@@ -48,8 +46,9 @@ class DeskStack:
     timings: dict = field(default_factory=dict)
 
 
-# the desk stack's stage timings, kept for the end-of-session summary
-STACK_TIMINGS = pytest.StashKey[dict]()
+# the desk stack's stage timings and a sha256 over its four models'
+# parameters, kept for the end-of-session summary
+STACK_SUMMARY = pytest.StashKey[tuple]()
 
 
 def _blas_threads():
@@ -83,60 +82,41 @@ def numerics_environment() -> str:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the numerics stack and, when the fixture ran, how long each
-    desk-stack stage took."""
+    desk-stack stage took and whether the stack's float bits moved."""
     terminalreporter.section("numerics")
     terminalreporter.write_line(numerics_environment())
-    timings = config.stash.get(STACK_TIMINGS, None)
-    if timings:
+    summary = config.stash.get(STACK_SUMMARY, None)
+    if summary:
+        timings, digest = summary
         terminalreporter.section("desk stack timings")
         for stage, seconds in timings.items():
             terminalreporter.write_line(f"{stage:>14}: {seconds:7.1f} s")
         terminalreporter.write_line(f"{'total':>14}: {sum(timings.values()):7.1f} s")
+        terminalreporter.write_line(f"desk stack digest {digest}")
 
 
 @pytest.fixture(scope="session")
 def desk_stack(request) -> DeskStack:
     """Train the full desk-scale stack once per session (tens of minutes)."""
-    camera = CameraModel()
-    noise = NoiseParams()
-    vae_cfg = VaeConfig()
-    timings = {}
-    request.config.stash[STACK_TIMINGS] = timings
-
+    cfg = AppConfig(train=TrainSettings(vae_epochs=VAE_EPOCHS, vae_lr=VAE_LR,
+                                        cpn_epochs=CPN_EPOCHS, e2e_epochs=E2E_EPOCHS),
+                    dataset=DatasetSettings(vae_frames=N_CORPUS_FRAMES, episodes=N_EPISODES,
+                                            horizon=HORIZON))
+    stack = train_full_stack(cfg, seed=STACK_SEED)
+    timings = dict(stack.timings)
     t0 = time.time()
-    _, corpus_noisy = render_vae_corpus(N_CORPUS_FRAMES, camera, noise, seed=STACK_SEED + 1)
-    timings["corpus"] = time.time() - t0
-
-    t0 = time.time()
-    sevae, _ = train_vae(corpus_noisy, vae_cfg, seed=STACK_SEED + 2, epochs=VAE_EPOCHS,
-                         lr=VAE_LR)
-    vanilla, _ = train_vae(corpus_noisy, vae_cfg, seed=STACK_SEED + 2, epochs=VAE_EPOCHS,
-                           lr=VAE_LR, vanilla=True)
-    timings["vae_training"] = time.time() - t0
-
-    t0 = time.time()
-    eval_clean, eval_noisy = render_vae_corpus(N_EVAL_FRAMES, camera, noise,
+    eval_clean, eval_noisy = render_vae_corpus(N_EVAL_FRAMES, cfg.camera, cfg.noise,
                                                seed=STACK_SEED + 7)
     timings["eval_frames"] = time.time() - t0
 
-    t0 = time.time()
-    collisions = collect_collision_data(N_EPISODES, camera, seed=STACK_SEED + 3,
-                                        horizon=HORIZON)
-    timings["collisions"] = time.time() - t0
-
-    t0 = time.time()
-    latents = build_latent_dataset(collisions, sevae, noise, seed=STACK_SEED + 4,
-                                   max_range=camera.max_range)
-    cpn_modular, _ = train_cpn(latents, CpnConfig(variant="modular",
-                                                  latent_dim=vae_cfg.latent_dim,
-                                                  horizon=HORIZON),
-                               seed=STACK_SEED + 5, epochs=CPN_EPOCHS)
-    cpn_e2e, _ = train_cpn(collisions, CpnConfig(variant="end-to-end", horizon=HORIZON,
-                                                 image_hw=(camera.height, camera.width)),
-                           seed=STACK_SEED + 6, epochs=E2E_EPOCHS)
-    timings["cpn_training"] = time.time() - t0
-
-    return DeskStack(camera=camera, noise=noise, vae_cfg=vae_cfg, sevae=sevae,
-                     vanilla=vanilla, cpn_modular=cpn_modular, cpn_e2e=cpn_e2e,
-                     eval_clean=eval_clean, eval_noisy=eval_noisy, collisions=collisions,
-                     setup=MissionSetup(camera=camera, noise=noise), timings=timings)
+    models = (stack.sevae, stack.vanilla_vae, stack.cpn_modular, stack.cpn_end_to_end)
+    digest = hashlib.sha256()
+    for model in models:
+        for arr in model.params().values():
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    request.config.stash[STACK_SUMMARY] = (timings, digest.hexdigest())
+    return DeskStack(camera=cfg.camera, noise=cfg.noise, vae_cfg=cfg.vae, sevae=stack.sevae,
+                     vanilla=stack.vanilla_vae, cpn_modular=stack.cpn_modular,
+                     cpn_e2e=stack.cpn_end_to_end, eval_clean=eval_clean,
+                     eval_noisy=eval_noisy, collisions=stack.collisions_clean,
+                     setup=MissionSetup(camera=cfg.camera, noise=cfg.noise), timings=timings)

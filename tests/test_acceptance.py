@@ -139,7 +139,7 @@ def test_criterion_1_gradient_integrity():
             return loss, {k: v.copy() for k, v in vae.grads().items()}
 
         check(vae_fn, vae.params(), max_coords=5, rng=np.random.default_rng(seed),
-              fingerprint=lambda: lrelu_fingerprint(vae._all_layers()))
+              fingerprint=lambda: lrelu_fingerprint(vae.layers()))
 
         # per-step cross entropy through the recurrent unrolling
         cpn = CollisionPredictor(tiny_cpn, seed=seed, dtype=np.float64)
@@ -154,7 +154,7 @@ def test_criterion_1_gradient_integrity():
             return loss, {k: v.copy() for k, v in cpn.grads().items()}
 
         check(cpn_fn, cpn.params(), max_coords=5, rng=np.random.default_rng(seed),
-              fingerprint=lambda: lrelu_fingerprint(cpn._layers()))
+              fingerprint=lambda: lrelu_fingerprint(cpn.layers()))
 
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"gradient suite took {elapsed:.0f}s (budget 120s)"

@@ -48,3 +48,41 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPEnope" * 4)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_model_checkpoint_of_the_other_kind_rejected(tmp_path):
+    from depthnav.cpn import CollisionPredictor, CpnConfig
+    from depthnav.vae import SemanticVae, VaeConfig
+
+    tiny_vae = VaeConfig(height=12, width=16, latent_dim=4, enc_channels=(2, 3, 4, 5),
+                         hidden=16)
+    SemanticVae(tiny_vae, seed=0).save(tmp_path / "vae.ckpt")
+    CollisionPredictor(CpnConfig(horizon=3), seed=0).save(tmp_path / "cpn.ckpt")
+    with pytest.raises(CheckpointError, match="'cpn' checkpoint, not 'sevae'"):
+        SemanticVae.load(tmp_path / "cpn.ckpt")
+    with pytest.raises(CheckpointError, match="'sevae' checkpoint, not 'cpn'"):
+        CollisionPredictor.load(tmp_path / "vae.ckpt")
+
+
+def test_model_checkpoint_with_foreign_config_or_parameters_rejected(tmp_path):
+    from depthnav.cpn import CollisionPredictor, CpnConfig
+
+    path = tmp_path / "cpn.ckpt"
+    CollisionPredictor(CpnConfig(horizon=3), seed=0).save(path)
+    meta, entries = load_checkpoint(path)
+    meta["config"]["dropout"] = 0.1
+    save_checkpoint(path, entries, meta)
+    with pytest.raises(CheckpointError, match="config does not fit"):
+        CollisionPredictor.load(path)
+
+    del meta["config"]["dropout"]
+    del entries["head.bias"]
+    save_checkpoint(path, entries, meta)
+    with pytest.raises(CheckpointError, match="missing parameter 'head.bias'"):
+        CollisionPredictor.load(path)
+
+    meta, entries = load_checkpoint(path)
+    entries["head.bias"] = Entry("dense", 1, np.zeros(2, np.float32))
+    save_checkpoint(path, entries, meta)
+    with pytest.raises(CheckpointError, match="shape mismatch for 'head.bias'"):
+        CollisionPredictor.load(path)

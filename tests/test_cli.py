@@ -86,6 +86,18 @@ def test_missing_dataset_gives_machine_readable_error(tmp_path, capsys):
     assert captured.err.startswith("error: DatasetError:")
 
 
+def test_zero_batch_size_gives_one_error_line(micro, capsys):
+    ini, out = micro
+    ini.write_text(MICRO_INI.replace("vae_epochs = 1", "vae_epochs = 1\nvae_batch = 0"))
+    base = ["--config", str(ini), "--seed", "4", "--out", str(out)]
+    assert main(["render-dataset", *base]) == 0
+    capsys.readouterr()
+    assert main(["train-vae", *base]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: TrainingError: ")
+    assert not (out / "sevae.ckpt").exists()
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

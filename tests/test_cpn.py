@@ -173,7 +173,7 @@ def test_gradients_through_recurrent_unrolling():
 
     err = max_param_error(loss_and_grads, model.params(), max_coords=15,
                           rng=np.random.default_rng(1),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model._layers()))
+                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -194,7 +194,7 @@ def test_end_to_end_variant_gradients_and_shapes():
 
     err = max_param_error(loss_and_grads, model.params(), max_coords=10,
                           rng=np.random.default_rng(2),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model._layers()))
+                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -244,6 +244,34 @@ def test_training_run_bit_identical(variant):
         h.update(arr.tobytes())
     h.update(np.array([astuple(s) for s in history], dtype=np.float64).tobytes())
     assert h.hexdigest() == TRAIN_GOLDEN[variant]
+
+
+# sha256 of the checkpoints seeded training runs write, one per variant
+CHECKPOINT_GOLDEN = {
+    "cpn_modular.ckpt": "d350714a8cf49d9f03a28e4c5b320c3517ee42feea9394f1081b988ae39bb664",
+    "cpn_end_to_end.ckpt": "6812eac318e7f6cb9e269b1e1afea6a5be5eeec2d08e804fcb7a9387b4884ac7",
+}
+
+
+def test_checkpoints_bit_identical(tmp_path):
+    train_cpn(_latent_ds(120), TINY, seed=5, epochs=2, batch_size=32, out_dir=tmp_path)
+    e2e = CpnConfig(variant=END_TO_END, horizon=4, hidden=8, perception_embed=8,
+                    state_embed=4, action_embed=4, e2e_channels=(2, 3))
+    train_cpn(_frame_ds(40, seed=9), e2e, seed=6, epochs=2, batch_size=16, out_dir=tmp_path)
+    for name, want in CHECKPOINT_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    header = (tmp_path / "cpn_modular_metrics.csv").read_text().splitlines()[0]
+    assert header == "epoch,train_bce,val_bce,val_auc,val_acc"
+
+
+@pytest.mark.parametrize("schedule", [{"batch_size": 0}, {"epochs": 0},
+                                      {"split_ratio": 0.0}, {"split_ratio": -1.0},
+                                      {"split_ratio": 1.01}])
+def test_bad_schedule_rejected_before_any_file_is_written(schedule, tmp_path):
+    with pytest.raises(TrainingError):
+        train_cpn(_latent_ds(20), TINY, seed=0, out_dir=tmp_path / "out",
+                  **{"epochs": 1, **schedule})
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_round_trip_preserves_predictions(tmp_path):

@@ -2,7 +2,7 @@
 persistence, golden training digests, and the full-loss gradient check."""
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -92,7 +92,7 @@ def test_full_loss_gradients_pass_finite_differences():
     from depthnav.nn import lrelu_fingerprint
     err = max_param_error(loss_and_grads, model.params(), max_coords=20,
                           rng=np.random.default_rng(0),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model._all_layers()))
+                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -171,6 +171,44 @@ def test_encode_batch_bit_identical():
     mu, logvar = SemanticVae(VaeConfig(), seed=23).encode_batch(frames.x)
     assert mu.shape == logvar.shape == (64, 32) and mu.dtype == np.float32
     assert _digest(mu, logvar) == ENCODE_GOLDEN
+
+
+# sha256 of the files a seeded training run writes: the checkpoint bytes
+# (parameters, layer table, meta block) and the per-epoch loss CSV.
+# p_min = 4 lets the toy frames' 8-pixel instances get semantic weight.
+OUT_DIR_GOLDEN = {
+    "sevae.ckpt": "2537680ab22ef504d911b9a159ed56f12c00a301e5095697a36ca8a8ee1009fa",
+    "sevae_losses.csv": "d59eb1c2d266191e213e93176b54c5527cc18bfbda60b3319b5436400151c735",
+    "vanilla_vae.ckpt": "d51f51ca2cf2fcca2c8550245e06e02444d0ba22c62c7e9d1d2e39632da64282",
+    "vanilla_vae_losses.csv": "7774568a21e14562441d562c0b3eff67f2e5bb17d67baa58ee01bd75ee14d892",
+}
+
+
+def test_training_out_dir_files_bit_identical(tmp_path):
+    frames = _toy_frames(40, seed=6)
+    for vanilla in (False, True):
+        train_vae(frames, replace(TINY, p_min=4), seed=42, epochs=2, lr=1e-3, batch_size=16,
+                  vanilla=vanilla, out_dir=tmp_path)
+    for name, want in OUT_DIR_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("schedule", [{"batch_size": 0}, {"epochs": 0},
+                                      {"split_ratio": 0.0}, {"split_ratio": -0.5},
+                                      {"split_ratio": 1.5}])
+def test_bad_schedule_rejected_before_any_file_is_written(schedule, tmp_path):
+    with pytest.raises(TrainingError):
+        train_vae(_toy_frames(8), TINY, seed=0, out_dir=tmp_path / "out",
+                  **{"epochs": 1, **schedule})
+    assert not (tmp_path / "out").exists()
+
+
+def test_tiny_split_keeps_one_training_frame():
+    """Two frames at split_ratio 0.2 train on one frame (round(0.4) = 0
+    training frames would leave nothing to average over)."""
+    model, history = train_vae(_toy_frames(2), TINY, seed=0, epochs=2, batch_size=4,
+                               split_ratio=0.2)
+    assert len(history) == 2 and np.isfinite(history[-1].train_loss)
 
 
 def test_checkpoint_round_trip_preserves_model_exactly(tmp_path):
