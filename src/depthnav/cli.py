@@ -105,8 +105,7 @@ def cmd_gen_world(args) -> int:
 def cmd_render_dataset(args) -> int:
     cfg, out = _setup(args)
     clean, noisy = render_vae_corpus(cfg.dataset.vae_frames, cfg.camera, cfg.noise,
-                                     seed=args.seed, world_params_fn=world_params_fn(cfg),
-                                     dynamics=cfg.dynamics)
+                                     seed=args.seed, world_params_fn=world_params_fn(cfg))
     save_dataset(out / F_FRAMES_CLEAN, clean)
     save_dataset(out / F_FRAMES_NOISY, noisy)
     print(f"wrote {len(clean)} clean + corrupted frames to {out}")

@@ -54,6 +54,26 @@ def _draw_pose(draw):
                        "the worlds leave no room for the camera")
 
 
+def _world_picker(rng, environments, worlds_per_env: int, world_params_fn):
+    """Draw the seed of every world (environment-major) from rng now, and
+    return pick() -> World, which draws a world index from rng and builds
+    that world on its first draw only.  DatasetError for an empty list."""
+    if worlds_per_env < 1 or not environments:
+        raise DatasetError(f"no worlds to draw from: environments={tuple(environments)}, "
+                           f"worlds_per_env={worlds_per_env}")
+    params = [world_params_fn(env, seed=int(rng.integers(2**31)))
+              for env in environments for _ in range(worlds_per_env)]
+    built = {}
+
+    def pick():
+        i = int(rng.integers(len(params)))
+        if i not in built:
+            built[i] = generate_world(params[i])
+        return built[i]
+
+    return pick
+
+
 def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
                      max_range: float) -> FrameSet:
     """Per-frame corruption with seeds derived from (base_seed, index)."""
@@ -69,7 +89,6 @@ def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
 def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, seed: int,
                       environments=("sparse", "medium", "dense"), worlds_per_env: int = 2,
                       world_params_fn=desk_world_params,
-                      dynamics: DynamicsParams = DynamicsParams(),
                       aimed_fraction: float = 0.5) -> tuple[FrameSet, FrameSet]:
     """Free-pose renders across generated worlds.
 
@@ -81,13 +100,10 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
     if n_frames < 1:
         raise DatasetError("corpus needs at least one frame")
     rng = np.random.default_rng(seed)
-    worlds = []
-    for env in environments:
-        for w in range(worlds_per_env):
-            worlds.append(generate_world(world_params_fn(env, seed=int(rng.integers(2**31)))))
+    pick_world = _world_picker(rng, environments, worlds_per_env, world_params_fn)
 
     def draw():
-        world = worlds[int(rng.integers(len(worlds)))]
+        world = pick_world()
         x0, y0, x1, y1 = world.bounds
         # a render pose only needs the camera clear of geometry, not a full
         # flight-clearance bubble (rod fields are tighter than the robot)
@@ -137,13 +153,10 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
     windows.  Frames are clean renders; corrupt copies are a separate,
     deterministic step (corrupt_frameset)."""
     rng = np.random.default_rng(seed)
-    worlds = []
-    for env in environments:
-        for w in range(worlds_per_env):
-            worlds.append(generate_world(world_params_fn(env, seed=int(rng.integers(2**31)))))
+    pick_world = _world_picker(rng, environments, worlds_per_env, world_params_fn)
 
     def draw():
-        world = worlds[int(rng.integers(len(worlds)))]
+        world = pick_world()
         x0, y0, x1, y1 = world.bounds
         try:
             return world, find_free_start(world, rng, (x0 + 0.5, x1 - 1.0), (y0 + 0.5, y1 - 0.5),

@@ -44,17 +44,26 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
     degenerate region.  The sampling is maximal in the Bridson sense: every
     active point had k candidate neighbors rejected before retiring.
     """
-    if r <= 0:
-        raise WorldError(f"poisson disc radius must be > 0, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise WorldError(f"poisson disc radius must be finite and > 0, got {r}")
+    if not all(math.isfinite(v) for v in region):
+        raise WorldError(f"poisson disc region must be finite, got {region}")
+    if k < 1:
+        raise WorldError(f"poisson disc needs k >= 1 candidates per pick, got {k}")
     x0, y0, x1, y1 = region
     w, h = x1 - x0, y1 - y0
     if w <= 0 or h <= 0:
         return np.zeros((0, 2))
     # The draws (one integer per pick, two uniforms per candidate) and the
     # arithmetic are kept exactly, so every world is reproducible bit for bit:
-    # `** 2` is pow(), which can differ from d * d in the last bit.
+    # `** 2` is pow(), which can differ from d * d in the last bit.  A pick's
+    # 2k uniforms come in one block; when a candidate before the last is
+    # accepted, the generator is rewound to the pick and redraws only the
+    # uniforms used, which leaves it where one-at-a-time draws would.
+    # Restoring the saved state (not advance()) keeps PCG64's buffered
+    # half-word that integers() reads.
     rng = np.random.default_rng(seed)
-    rand = rng.random
+    bitgen = rng.bit_generator
     cell = r / math.sqrt(2.0)
     gw, gh = int(math.ceil(w / cell)), int(math.ceil(h / cell))
     # flat background grid: cell (gx, gy) at gx * gh + gy lists the points of
@@ -73,13 +82,16 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
         points.append(p)
         active.append(p)
 
-    place((x0 + rand() * w, y0 + rand() * h))
+    place((x0 + rng.random() * w, y0 + rng.random() * h))
+    n = 2 * k
     while active:
         pick = int(rng.integers(len(active)))
         bx, by = active[pick]
-        for _ in range(k):
-            rad = r * (1.0 + rand())
-            ang = rand() * two_pi
+        saved = bitgen.state
+        u = rng.random(n).tolist()
+        for i in range(0, n, 2):
+            rad = r * (1.0 + u[i])
+            ang = u[i + 1] * two_pi
             px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
             if not (x0 <= px < x1 and y0 <= py < y1):
                 continue
@@ -89,6 +101,9 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
                     break
             else:
                 place((px, py))
+                if i + 2 < n:
+                    bitgen.state = saved
+                    rng.random(i + 2)
                 break
         else:
             active[pick] = active[-1]
@@ -119,8 +134,8 @@ class WorldGenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.radii) <= 0:
-            raise WorldError(f"poisson radii must be > 0, got {self.radii}")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise WorldError(f"poisson radii must be finite and > 0, got {self.radii}")
 
     @property
     def course_length(self) -> float:
@@ -139,15 +154,21 @@ PAPER_RADII = {
 }
 
 
+def _preset_radii(presets: dict, env: str) -> tuple[float, float, float, float]:
+    if env not in presets:
+        raise WorldError(f"unknown environment {env!r}; expected one of {', '.join(presets)}")
+    return presets[env]
+
+
 def desk_world_params(env: str = "medium", seed: int = 0) -> WorldGenParams:
     """Desk-scale preset: 15 m sections, course spacings at 0.3x the 50 m scale."""
-    return WorldGenParams(radii=DESK_RADII[env], seed=seed)
+    return WorldGenParams(radii=_preset_radii(DESK_RADII, env), seed=seed)
 
 
 def paper_world_params(env: str = "medium", seed: int = 0) -> WorldGenParams:
     """Full-scale preset: 50 m sections, 150 m course."""
     return WorldGenParams(
-        radii=PAPER_RADII[env], section_size=50.0, large_footprint=(0.3, 1.5),
+        radii=_preset_radii(PAPER_RADII, env), section_size=50.0, large_footprint=(0.3, 1.5),
         spawn_clear=4.0, seed=seed,
     )
 

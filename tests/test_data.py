@@ -308,3 +308,20 @@ class TestPoseSampling:
         with pytest.raises(DatasetError, match="no free pose"):
             collect_collision_data(2, CameraModel(), seed=0, **kw)
         assert time.perf_counter() - t0 < 20.0
+
+
+class TestWorldList:
+    @pytest.mark.parametrize("kw", [dict(worlds_per_env=0), dict(environments=())])
+    def test_empty_world_list_rejected_before_any_work(self, kw, monkeypatch):
+        from depthnav import pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a world for an empty world list")
+
+        monkeypatch.setattr(pipeline, "generate_world", never)
+        with pytest.raises(DatasetError, match="no worlds"):
+            pipeline.render_vae_corpus(4, CameraModel(), NoiseParams(), seed=0,
+                                       world_params_fn=never, **kw)
+        with pytest.raises(DatasetError, match="no worlds"):
+            pipeline.collect_collision_data(2, CameraModel(), seed=0,
+                                            world_params_fn=never, **kw)

@@ -1,13 +1,63 @@
-"""The one-call training pipeline: bit-identical output, stage timings."""
+"""The dataset builders and the one-call training pipeline: bit-identical
+output, worlds built on first draw, stage timings."""
 
 import hashlib
 
 import numpy as np
+import pytest
 
-from depthnav.camera import CameraModel
+from depthnav import pipeline
+from depthnav.camera import CameraModel, NoiseParams
 from depthnav.config import AppConfig, DatasetSettings, TrainSettings
-from depthnav.pipeline import train_full_stack
+from depthnav.pipeline import collect_collision_data, render_vae_corpus, train_full_stack
 from depthnav.vae import VaeConfig
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of both builders' outputs at their default world list (3
+# environments x 2 worlds): 12 clean + corrupted corpus frames, and 3
+# collected episodes of at most 30 steps (frames, states, actions, labels)
+CORPUS_GOLDEN = {
+    1: "3e97e4367c0dd741eba85112c406c729eb6f35f466e74b41a8616a12359e24ba",
+    7919: "c68ecb88c38edebc75418e35b27945105831e15e7ce628cb901c1284c0da4004",
+}
+COLLISIONS_GOLDEN = {
+    1: "e9e18eccf3655f233581f64de8a260934cc9ceb5b8e25d6e713f4e59376e50e3",
+    7919: "ccec7a863ab8e6b8e7fbc3c605f146ecc80ab3a317f7dcae174eb354665f0c73",
+}
+
+
+@pytest.mark.parametrize("seed", list(CORPUS_GOLDEN))
+def test_corpus_bit_identical(seed):
+    clean, noisy = render_vae_corpus(12, CameraModel(), NoiseParams(), seed=seed)
+    assert _sha(clean.x, clean.valid, clean.seg, noisy.x, noisy.valid, noisy.seg) \
+        == CORPUS_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", list(COLLISIONS_GOLDEN))
+def test_collisions_bit_identical(seed):
+    ds = collect_collision_data(3, CameraModel(), seed=seed, max_steps=30)
+    assert _sha(ds.frames.x, ds.frames.valid, ds.frames.seg, ds.states, ds.actions,
+                ds.labels) == COLLISIONS_GOLDEN[seed]
+
+
+def test_one_episode_builds_only_the_world_it_draws(monkeypatch):
+    built = []
+    generate = pipeline.generate_world
+
+    def counting(params):
+        built.append(params.seed)
+        return generate(params)
+
+    monkeypatch.setattr(pipeline, "generate_world", counting)
+    collect_collision_data(1, CameraModel(), seed=0, max_steps=20)
+    assert len(built) == 1
 
 # sha256 over the four models' parameters and both autoencoder loss CSVs of
 # a toy-scale stack (12x16 frames, one epoch per model)

@@ -10,6 +10,7 @@ from depthnav.world import (
     DynamicsParams,
     RobotState,
     World,
+    WorldGenParams,
     batch_min_clearance,
     check_collision,
     desk_world_params,
@@ -55,6 +56,21 @@ class TestPoissonDisc:
         with pytest.raises(WorldError):
             poisson_disc_sample((0, 0, 1, 1), 0.0, seed=0)
 
+    @pytest.mark.parametrize("region,r", [
+        ((0, 0, 1, 1), float("nan")),
+        ((0, 0, 1, 1), float("inf")),
+        ((0, 0, float("nan"), 1), 0.5),
+        ((0, float("-inf"), 1, 1), 0.5),
+    ])
+    def test_non_finite_radius_or_region_rejected(self, region, r):
+        with pytest.raises(WorldError, match="finite"):
+            poisson_disc_sample(region, r, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_candidate_rejected(self, k):
+        with pytest.raises(WorldError, match="k >= 1"):
+            poisson_disc_sample((0, 0, 10, 10), 1.0, seed=0, k=k)
+
     def test_points_stay_inside_region(self):
         pts = poisson_disc_sample((2, 3, 12, 9), 1.5, seed=7)
         assert np.all(pts[:, 0] >= 2) and np.all(pts[:, 0] < 12)
@@ -71,10 +87,21 @@ def _sha(*arrays) -> str:
 # Digests of the reference Bridson sampler and world generator.  Any change
 # to the random draw sequence or to the distance arithmetic moves every world
 # downstream (corpora, collision sets, missions), so these pin them bit for bit.
+# Keys are (region, r, seed, k); k = 30 is the default.
 POISSON_GOLDEN = {
-    ((0.0, 0.0, 20.0, 20.0), 1.3, 0): "ebbdd3f3f902b693bc116b40f43f6c1e80026e5527397781f458dcb902dc7b02",
-    ((2.0, 3.0, 12.0, 9.0), 0.7, 7919): "670acf63484a6dd9ceff5559e33833ff87ca30632fdfb2541100990f61a96b4c",
+    ((0.0, 0.0, 20.0, 20.0), 1.3, 0, 30): "ebbdd3f3f902b693bc116b40f43f6c1e80026e5527397781f458dcb902dc7b02",
+    ((2.0, 3.0, 12.0, 9.0), 0.7, 7919, 30): "670acf63484a6dd9ceff5559e33833ff87ca30632fdfb2541100990f61a96b4c",
+    # one candidate per pick: every accepted candidate is the pick's last
+    ((0.0, 0.0, 20.0, 20.0), 1.3, 0, 1): "0bd7db20ea813114eee9811e730cec73c04933523accec55115f796e6f247193",
+    # paper-scale spacings (rods-only dense, large-only sparse) over a 50 m section
+    ((0.0, 0.0, 50.0, 50.0), 2.5, 202, 30): "42e839fa4cacd5c2155fa2a058f174faa1ffbb8c275d9d577f65c0172b6bb87b",
+    ((0.0, 0.0, 50.0, 50.0), 6.5, 7919, 30): "c8cdd30192ca75fd721b7a7697f02cd0f35ee0240936208490a5c9c68f7cc92f",
+    # a strip barely wider than r: most candidates fall outside the region
+    ((-3.0, 1.0, 27.0, 1.6), 0.5, 11, 30): "dce6128de29cf391549294e5a58ed80f09d2d1532bcdbf86cbbfb2ea98f0afe3",
 }
+# test ids "region<i>-<r>-<seed>", with "-k<k>" for a non-default k
+POISSON_IDS = [f"region{i}-{r}-{seed}" + ("" if k == 30 else f"-k{k}")
+               for i, (_, r, seed, k) in enumerate(POISSON_GOLDEN)]
 WORLD_GOLDEN = {
     ("desk", "sparse", 3): "2542adfa0004c2ac1369eb2d022e131f3883e134e69553b02772f554cd6fd6d4",
     ("desk", "sparse", 11): "0b6156dc48cbf43deb9e2ae618821fe2857763504c6c62ea0378628bd7bb229d",
@@ -87,10 +114,10 @@ WORLD_GOLDEN = {
 
 
 class TestGolden:
-    @pytest.mark.parametrize("region,r,seed", list(POISSON_GOLDEN))
-    def test_poisson_points_bit_identical(self, region, r, seed):
-        pts = poisson_disc_sample(region, r, seed=seed)
-        assert _sha(pts) == POISSON_GOLDEN[(region, r, seed)]
+    @pytest.mark.parametrize("region,r,seed,k", list(POISSON_GOLDEN), ids=POISSON_IDS)
+    def test_poisson_points_bit_identical(self, region, r, seed, k):
+        pts = poisson_disc_sample(region, r, seed=seed, k=k)
+        assert _sha(pts) == POISSON_GOLDEN[(region, r, seed, k)]
 
     @pytest.mark.parametrize("scale,env,seed", list(WORLD_GOLDEN))
     def test_world_bit_identical(self, scale, env, seed):
@@ -140,6 +167,16 @@ class TestWorldGen:
         params = paper_world_params("dense", seed=0)
         assert params.radii == (6.0, 6.0, 3.0, 2.5)
         assert params.course_length == 150.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_radius_rejected(self, bad):
+        with pytest.raises(WorldError, match="radii"):
+            WorldGenParams(radii=(1.0, bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("params_fn", [desk_world_params, paper_world_params])
+    def test_unknown_environment_rejected(self, params_fn):
+        with pytest.raises(WorldError, match="unknown environment 'forest'"):
+            params_fn("forest", seed=0)
 
 
 class TestCollision:
