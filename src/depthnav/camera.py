@@ -14,6 +14,7 @@ convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +67,35 @@ class CameraModel:
     offset: tuple[float, float, float] = (0.1, 0.0, 0.0)  # body frame
 
     def __post_init__(self):
+        for name in ("height", "width"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise WorldError(f"camera {name} must be an integer >= 1, got {size!r}")
         if not (0 < self.min_range < self.max_range):
             raise WorldError("camera needs 0 < min_range < max_range")
         if not (0 < self.fov_h < np.pi and 0 < self.fov_v < np.pi):
             raise WorldError("camera FOV must lie in (0, pi)")
 
     def ray_grid(self) -> np.ndarray:
-        """Unit-forward ray directions in the camera frame, shape (H*W, 3).
+        """Unit-forward ray directions in the camera frame, shape (H*W, 3),
+        read-only and shared by every camera with the same size and FOV.
 
         Camera frame: x forward, y left, z up; the x component is 1 so the
         ray parameter equals planar depth.
         """
-        tan_u = np.tan(self.fov_h / 2.0)
-        tan_v = np.tan(self.fov_v / 2.0)
-        u = (np.arange(self.width) + 0.5 - self.width / 2.0) / (self.width / 2.0) * tan_u
-        v = (np.arange(self.height) + 0.5 - self.height / 2.0) / (self.height / 2.0) * tan_v
-        uu, vv = np.meshgrid(u, v)
-        d = np.stack([np.ones_like(uu), -uu, -vv], axis=-1)
-        return d.reshape(-1, 3)
+        return _ray_grid(self.height, self.width, self.fov_h, self.fov_v)
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_grid(height: int, width: int, fov_h: float, fov_v: float) -> np.ndarray:
+    tan_u = np.tan(fov_h / 2.0)
+    tan_v = np.tan(fov_v / 2.0)
+    u = (np.arange(width) + 0.5 - width / 2.0) / (width / 2.0) * tan_u
+    v = (np.arange(height) + 0.5 - height / 2.0) / (height / 2.0) * tan_v
+    uu, vv = np.meshgrid(u, v)
+    grid = np.stack([np.ones_like(uu), -uu, -vv], axis=-1).reshape(-1, 3)
+    grid.flags.writeable = False
+    return grid
 
 
 def paper_camera() -> CameraModel:
@@ -104,50 +116,49 @@ def _rot_full(yaw: float, pitch: float, roll: float) -> np.ndarray:
 def render(world: World, cam: CameraModel, position, yaw: float,
            roll: float = 0.0, pitch: float = 0.0) -> DepthFrame:
     """Ray-cast the nearest hit per pixel; thin obstacles stamp their
-    instance ID into the semantic grid."""
+    instance ID into the semantic grid.
+
+    One batched pass: the (pixel, obstacle) pairs of every in-view cylinder
+    are tested as one flat array, then those of every box.  A pixel keeps
+    its nearest hit if strictly nearer than the ground; of equally near hits
+    the obstacle earlier in world order (cylinders, then boxes) keeps the
+    pixel and its instance ID.
+    """
     position = np.asarray(position, dtype=np.float64)
     if not np.all(np.isfinite(position)):
         raise WorldError(f"non-finite camera position {position}")
+    if not np.all(np.isfinite([yaw, roll, pitch])):
+        raise WorldError(f"non-finite camera attitude yaw={yaw}, roll={roll}, pitch={pitch}")
     rot = _rot_full(yaw, pitch, roll)
     origin = position + rot_z(yaw) @ np.asarray(cam.offset, dtype=np.float64)
     rays = cam.ray_grid() @ rot.T  # (H*W, 3) world-frame, planar-depth parameterized
     n_px = rays.shape[0]
-    depth = np.full(n_px, np.inf)
-    hit_iid = np.zeros(n_px, dtype=np.uint16)
-
     fwd = rot @ np.array([1.0, 0.0, 0.0])
-    reach = cam.max_range * float(np.max(np.linalg.norm(rays, axis=1)))
     ray_x, ray_y, ray_z = (np.ascontiguousarray(col) for col in rays.T)
-    all_px = np.arange(n_px)
-
-    def commit(s, mask, iid, px):
-        better = mask & (s < depth[px])
-        if np.any(better):
-            hit = px[better]
-            depth[hit] = s[better]
-            hit_iid[hit] = iid
+    reach = cam.max_range * float(np.sqrt(np.max(ray_x * ray_x + ray_y * ray_y + ray_z * ray_z)))
 
     # ground plane z = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         s_ground = -origin[2] / np.where(ray_z == 0.0, np.nan, ray_z)
-    commit(s_ground, np.isfinite(s_ground) & (s_ground > 0.0), 0, all_px)
+    depth = np.where(np.isfinite(s_ground) & (s_ground > 0.0), s_ground, np.inf)
 
     # A ray from outside an obstacle's footprint circle (radius R, centre at
     # distance d) can meet it only if the ray's azimuth lies within asin(R/d)
     # of the centre's bearing.  Each obstacle is therefore tested against that
     # band of pixels alone (every pixel when the camera is inside the circle),
     # found by bisecting the sorted ray azimuths; a 1 urad margin absorbs
-    # rounding.  The arithmetic per pixel is unchanged, so the frame is
-    # bit-identical to testing every ray.
+    # rounding.  Each (pixel, obstacle) pair sees the same IEEE operations as
+    # testing that one ray against that one obstacle, so the frame is
+    # bit-identical to testing every ray against every obstacle in turn.
     ox, oy, oz = origin
     azimuth = np.arctan2(ray_y, ray_x)
     by_azimuth = np.argsort(azimuth)
     azimuth = azimuth[by_azimuth]
 
     def in_view(table, foot, near):
-        """(row, pixel indices) for each obstacle of `table` (footprint circle
-        radii `foot`) within reach, not behind the camera, and with at
-        least one ray in its band."""
+        """Rows of `table` (footprint circle radii `foot`) within reach and
+        not behind the camera, and the flat (pixel, index into rows) pairs
+        of their bands."""
         rows = np.flatnonzero(near & ((table[:, 0] - ox) * fwd[0] + (table[:, 1] - oy) * fwd[1]
                                       >= -foot - 0.5))
         dx, dy, foot = table[rows, 0] - ox, table[rows, 1] - oy, foot[rows]
@@ -161,55 +172,74 @@ def render(world: World, cam: CameraModel, position, yaw: float,
         hi = np.where(hi > np.pi, hi - 2.0 * np.pi, hi)
         first = np.searchsorted(azimuth, lo, side="left")
         last = np.searchsorted(azimuth, hi, side="right")
-        for row, inside, seam, i, j in zip(rows, dist <= foot, lo > hi, first, last):
-            if inside:
-                px = all_px
-            elif seam:  # the band wraps around +-pi
-                px = np.concatenate((by_azimuth[i:], by_azimuth[:j]))
-            else:
-                px = by_azimuth[i:j]
-            if len(px):
-                yield table[row], px
+        # a band wrapping around +-pi runs on from the start of the sorted
+        # azimuths; a camera inside the circle takes all of them
+        inside = dist <= foot
+        count = np.where(inside, n_px, np.where(lo > hi, n_px, 0) + last - first)
+        first = np.where(inside, 0, first)
+        ends = np.cumsum(count)
+        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
+        return rows, np.repeat(np.arange(len(rows)), count), by_azimuth[pos % n_px]
 
     cyl, box = world.cylinders, world.boxes
     near_cyl, near_box = obstacles_within(world, ox, oy, reach)
-    for (cx, cy, radius, height, iid), px in in_view(cyl, cyl[:, 2], near_cyl):
-        rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
-        rel = np.array([ox - cx, oy - cy])
-        a = rx ** 2 + ry ** 2
-        b = 2.0 * (rel[0] * rx + rel[1] * ry)
-        c = rel @ rel - radius * radius
-        disc = b * b - 4.0 * a * c
-        ok = disc >= 0.0
-        if not np.any(ok):
-            continue
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = (-b - sq) / (2.0 * a)
-            s2 = (-b + sq) / (2.0 * a)
-        z1 = oz + s1 * rz
-        side = ok & (s1 > 0.0) & (z1 >= 0.0) & (z1 <= height)
-        commit(s1, side, int(iid), px)
+
+    rows, k, px = in_view(cyl, cyl[:, 2], near_cyl)
+    n_cyl = len(rows)
+    cx, cy, radius, height, cyl_iid = cyl[rows].T
+    rel = np.stack([ox - cx, oy - cy], axis=1)
+    # one dot product per obstacle: BLAS may fuse its multiply-add, so an
+    # elementwise sum of squares can differ in the last bit
+    c = np.array([r @ r for r in rel]) - radius * radius
+    rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
+    a = rx ** 2 + ry ** 2
+    b = 2.0 * (rel[k, 0] * rx + rel[k, 1] * ry)
+    disc = b * b - 4.0 * a * c[k]
+    ok = disc >= 0.0
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    height = height[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = (-b - sq) / (2.0 * a)
+        s2 = (-b + sq) / (2.0 * a)
         # top cap: ray crosses z = height inside the circle between the roots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_cap = (height - oz) / np.where(rz == 0.0, np.nan, rz)
-        cap = ok & np.isfinite(s_cap) & (s_cap > 0.0) & (s_cap >= s1) & (s_cap <= s2)
-        commit(s_cap, cap, int(iid), px)
-    for (cx, cy, ex, ey, box_yaw, height, iid), px in in_view(
-            box, np.hypot(box[:, 2], box[:, 3]), near_box):
-        rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
-        cb, sb = np.cos(box_yaw), np.sin(box_yaw)
-        o_loc = np.array([cb * (ox - cx) + sb * (oy - cy), -sb * (ox - cx) + cb * (oy - cy), oz])
-        d_loc = np.stack([cb * rx + sb * ry, -sb * rx + cb * ry, rz], axis=1)
-        d_safe = np.where(d_loc == 0.0, 1e-300, d_loc)
-        lo = np.array([-ex, -ey, 0.0])
-        hi = np.array([ex, ey, height])
-        t1 = (lo[None, :] - o_loc[None, :]) / d_safe
-        t2 = (hi[None, :] - o_loc[None, :]) / d_safe
-        t_near = np.minimum(t1, t2).max(axis=1)
-        t_far = np.maximum(t1, t2).min(axis=1)
-        hit = (t_near <= t_far) & (t_far > 0.0) & (t_near > 0.0)
-        commit(t_near, hit, int(iid), px)
+        s_cap = (height - oz) / np.where(rz == 0.0, np.nan, rz)
+    z1 = oz + s1 * rz
+    side = ok & (s1 > 0.0) & (z1 >= 0.0) & (z1 <= height)
+    cap = ok & np.isfinite(s_cap) & (s_cap > 0.0) & (s_cap >= s1) & (s_cap <= s2)
+    hits = [(px[side], s1[side], 2 * k[side]), (px[cap], s_cap[cap], 2 * k[cap] + 1)]
+
+    rows, k, px = in_view(box, np.hypot(box[:, 2], box[:, 3]), near_box)
+    cx, cy, ex, ey, box_yaw, height, box_iid = box[rows].T
+    # scalar calls, as for a single box: a ufunc's vector loop may round
+    # differently from its scalar one
+    cb = np.array([np.cos(y) for y in box_yaw])
+    sb = np.array([np.sin(y) for y in box_yaw])
+    o_loc = (cb * (ox - cx) + sb * (oy - cy), -sb * (ox - cx) + cb * (oy - cy),
+             np.full(len(rows), oz))
+    rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
+    d_loc = (cb[k] * rx + sb[k] * ry, -sb[k] * rx + cb[k] * ry, rz)
+    t_near, t_far = -np.inf, np.inf
+    for o, d, lo, hi in zip(o_loc, d_loc, (-ex, -ey, np.zeros(len(rows))), (ex, ey, height)):
+        d = np.where(d == 0.0, 1e-300, d)
+        t1 = (lo - o)[k] / d
+        t2 = (hi - o)[k] / d
+        t_near = np.maximum(t_near, np.minimum(t1, t2))
+        t_far = np.minimum(t_far, np.maximum(t1, t2))
+    hit = (t_near <= t_far) & (t_far > 0.0) & (t_near > 0.0)
+    hits.append((px[hit], t_near[hit], 2 * n_cyl + k[hit]))
+
+    # Resolve: `seq` orders the hits as world order does (cylinder k's side
+    # 2k, its cap 2k + 1, box j 2 * n_cyl + j); the lowest seq among a
+    # pixel's nearest hits wins, as committing them in turn with "<" would.
+    px, s, seq = (np.concatenate(col) for col in zip(*hits))
+    nearer = s < depth[px]
+    px, s, seq = px[nearer], s[nearer], seq[nearer]
+    np.minimum.at(depth, px, s)
+    nearest = s == depth[px]
+    iids = np.concatenate((np.repeat(cyl_iid, 2), box_iid, [0.0])).astype(np.uint16)
+    winner = np.full(n_px, len(iids) - 1)  # the last entry, 0, where nothing hit
+    np.minimum.at(winner, px[nearest], seq[nearest])
+    hit_iid = iids[winner]
 
     valid = (depth >= cam.min_range) & (depth <= cam.max_range)
     x = np.where(valid, depth / cam.max_range, 0.0).astype(np.float32)

@@ -80,6 +80,13 @@ def numerics_environment() -> str:
     return f"numpy {np.__version__}, {blas}, BLAS threads {_blas_threads()}"
 
 
+def pytest_collection_modifyitems(config, items):
+    """Mark every test that uses the desk stack `slow`."""
+    for item in items:
+        if "desk_stack" in item.fixturenames:
+            item.add_marker(pytest.mark.slow)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the numerics stack and, when the fixture ran, how long each
     desk-stack stage took and whether the stack's float bits moved."""

@@ -7,6 +7,7 @@ import pytest
 
 from depthnav.camera import (
     CameraModel,
+    _rot_full,
     DepthFrame,
     NoiseParams,
     check_frame_invariants,
@@ -20,7 +21,7 @@ from depthnav.camera import (
     render,
     write_pgm,
 )
-from depthnav.errors import ShapeError
+from depthnav.errors import ShapeError, WorldError
 from depthnav.world import World, desk_world_params, empty_world, generate_world, rot_z
 
 
@@ -82,6 +83,64 @@ class TestRender:
         h, w = frame.shape
         assert frame.valid[h // 2, w // 2] == 0
 
+    @pytest.mark.parametrize("attitude", [dict(yaw=np.nan), dict(yaw=np.inf, roll=0.0),
+                                          dict(yaw=0.0, roll=np.inf),
+                                          dict(yaw=0.0, pitch=-np.inf),
+                                          dict(yaw=0.0, roll=np.nan, pitch=0.1)])
+    def test_non_finite_attitude_raises(self, attitude):
+        with pytest.raises(WorldError, match="attitude"):
+            render(_single_rod_world(), CameraModel(), [0.0, 0.0, 1.0], **attitude)
+
+    @pytest.mark.parametrize("size", [dict(height=0), dict(width=-1), dict(height=2.5),
+                                      dict(width="80"), dict(height=True)])
+    def test_camera_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(WorldError, match="integer"):
+            CameraModel(**size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert CameraModel(height=np.int64(12), width=np.int32(16)).ray_grid().shape == (192, 3)
+
+
+class TestRenderTies:
+    """Equally near hits go to the obstacle earlier in world order
+    (cylinders before boxes), which keeps the pixel and its instance ID."""
+
+    CAM = CameraModel(offset=(0.0, 0.0, 0.0))
+    POSE = ([0.0, 0.0, 3.0], 0.0)  # looking down on obstacles 2 m ahead
+
+    def _render(self, cylinders=(), boxes=()):
+        world = World(cylinders=np.array(cylinders, dtype=float).reshape(-1, 5),
+                      boxes=np.array(boxes, dtype=float).reshape(-1, 7),
+                      bounds=(0, 0, 10, 10), ceiling=5.0)
+        return render(world, self.CAM, *self.POSE, pitch=0.6)
+
+    @pytest.mark.parametrize("kind, solid", [
+        ("cylinders", [2.0, 0.0, 0.3, 1.5]),
+        ("boxes", [2.0, 0.0, 0.3, 0.2, 0.4, 1.5]),
+    ])
+    def test_coincident_obstacles_first_in_world_order_wins(self, kind, solid):
+        alone = self._render(**{kind: [solid + [1]]})
+        on_obstacle = alone.seg == 1
+        assert on_obstacle.sum() > 50
+        for first, second in ((1, 2), (2, 1)):
+            frame = self._render(**{kind: [solid + [first], solid + [second]]})
+            assert np.array_equal(frame.x, alone.x)
+            assert np.all(frame.seg[on_obstacle] == first)
+            assert np.array_equal(frame.seg > 0, on_obstacle)
+
+    def test_box_sharing_a_cylinder_top_face_loses_the_tie(self):
+        # the box lies inside the cylinder and its top is the cylinder's cap
+        cylinder = [2.0, 0.0, 0.3, 1.5, 5]
+        box = [2.0, 0.0, 0.2, 0.15, 0.4, 1.5, 7]
+        box_alone = self._render(boxes=[box])
+        cyl_alone = self._render(cylinders=[cylinder])
+        both = self._render(cylinders=[cylinder], boxes=[box])
+        shared = (box_alone.seg == 7) & (box_alone.x == cyl_alone.x)
+        assert shared.sum() > 20  # the tied pixels of the shared face
+        assert np.all(both.seg[shared] == 5)
+        assert np.array_equal(both.x, cyl_alone.x)
+        assert np.array_equal(both.seg, cyl_alone.seg)
+
 
 def _box_world():
     """A long thin wall and a small box, a rod and a thick post."""
@@ -132,6 +191,65 @@ def _frames_sha(frames) -> str:
     return h.hexdigest()
 
 
+def _reference_render(world, cam, position, yaw, roll=0.0, pitch=0.0):
+    """Every ray against every obstacle, ground first and then in world
+    order, each hit committed with a strict "<": the caster `render` must
+    match bit for bit."""
+    rot = _rot_full(yaw, pitch, roll)
+    ox, oy, oz = np.asarray(position, float) + rot_z(yaw) @ np.asarray(cam.offset, float)
+    rx, ry, rz = (np.ascontiguousarray(col) for col in (cam.ray_grid() @ rot.T).T)
+    depth, iid = np.full(len(rx), np.inf), np.zeros(len(rx), np.uint16)
+
+    def commit(s, mask, instance):
+        better = mask & (s < depth)
+        depth[better], iid[better] = s[better], instance
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -oz / np.where(rz == 0.0, np.nan, rz)
+        commit(s, np.isfinite(s) & (s > 0.0), 0)
+        for cx, cy, radius, height, instance in world.cylinders:
+            rel = np.array([ox - cx, oy - cy])
+            a = rx ** 2 + ry ** 2
+            b = 2.0 * (rel[0] * rx + rel[1] * ry)
+            disc = b * b - 4.0 * a * (rel @ rel - radius * radius)
+            ok = disc >= 0.0
+            sq = np.sqrt(np.where(ok, disc, 0.0))
+            s1, s2 = (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
+            z1 = oz + s1 * rz
+            commit(s1, ok & (s1 > 0.0) & (z1 >= 0.0) & (z1 <= height), instance)
+            s = (height - oz) / np.where(rz == 0.0, np.nan, rz)
+            commit(s, ok & np.isfinite(s) & (s > 0.0) & (s >= s1) & (s <= s2), instance)
+        for cx, cy, ex, ey, box_yaw, height, instance in world.boxes:
+            cb, sb = np.cos(box_yaw), np.sin(box_yaw)
+            o = np.array([cb * (ox - cx) + sb * (oy - cy), -sb * (ox - cx) + cb * (oy - cy), oz])
+            d = np.stack([cb * rx + sb * ry, -sb * rx + cb * ry, rz], axis=1)
+            d = np.where(d == 0.0, 1e-300, d)
+            t1 = (np.array([-ex, -ey, 0.0]) - o) / d
+            t2 = (np.array([ex, ey, height]) - o) / d
+            t_near, t_far = np.minimum(t1, t2).max(axis=1), np.maximum(t1, t2).min(axis=1)
+            commit(t_near, (t_near <= t_far) & (t_far > 0.0) & (t_near > 0.0), instance)
+    valid = (depth >= cam.min_range) & (depth <= cam.max_range)
+    return DepthFrame(np.where(valid, depth / cam.max_range, 0.0).reshape(cam.height, cam.width),
+                      valid.reshape(cam.height, cam.width),
+                      np.where(valid, iid, 0).reshape(cam.height, cam.width))
+
+
+class TestRenderReference:
+    @pytest.mark.parametrize("env", ["sparse", "dense"])
+    def test_random_poses_match_the_every_ray_caster(self, env):
+        world = generate_world(desk_world_params(env, seed=11))
+        rng = np.random.default_rng(3)
+        x0, y0, x1, y1 = world.bounds
+        for cam in (CameraModel(height=24, width=32),
+                    CameraModel(height=9, width=40, fov_h=np.deg2rad(150.0))):
+            for _ in range(6):
+                pose = ([rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(0.3, 2.5)],
+                        rng.uniform(-np.pi, np.pi), *rng.uniform(-0.4, 0.4, 2))
+                args = (world, cam, pose[0], pose[1])
+                got = render(*args, roll=pose[2], pitch=pose[3])
+                assert _frames_sha([got]) == _frames_sha([_reference_render(*args, *pose[2:])])
+
+
 class TestRenderGolden:
     def test_dense_world_poses_bit_identical(self):
         world = generate_world(desk_world_params("dense", seed=5))
@@ -148,6 +266,27 @@ class TestRenderGolden:
         frame = render(world, paper_camera(), [16.0, 7.5, 1.0], 0.2, pitch=0.05)
         assert frame.valid.sum() > 0 and frame.seg.max() > 0
         assert _frames_sha([frame]) == RENDER_GOLDEN["paper"]
+
+
+class TestRayGridCache:
+    def test_other_cameras_between_renders_leave_frames_bit_identical(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        pose = ([16.0, 7.5, 1.0], 0.2)
+        desk = CameraModel()
+        before = render(world, desk, *pose)
+        render(world, paper_camera(), *pose)
+        narrow = render(world, CameraModel(fov_h=np.deg2rad(60.0)), *pose)
+        after = render(world, desk, *pose)
+        assert before.seg.max() > 0
+        assert _frames_sha([after]) == _frames_sha([before])
+        assert _frames_sha([narrow]) != _frames_sha([before])
+
+    def test_cached_grid_is_shared_and_read_only(self):
+        grid = CameraModel().ray_grid()
+        assert CameraModel(max_range=8.0).ray_grid() is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 2.0
+        assert grid[0, 0] == 1.0
 
 
 class TestCorrupt:
