@@ -8,12 +8,17 @@ sigmoid scores in [0, 1].
 
 score_library() scores S states (the planner's sigma points) against M
 action sequences of T steps (the motion-primitive library) without tiling
-them out to S*M*T rows: the perception embedding runs once, h0 once per
-state, the action embedding and the GRU input projections x @ w once per
-primitive step (M*T rows), and only the recurrence h @ u, the head and the
-sigmoid run on every state/sequence pair.  Each element sees the same
-float operations in the same order as the training forward pass on the
-tiled rows, so the scores are bit-identical to it.
+them out to S*M*T rows: the perception embedding runs once, the state
+embedding and h0 once per distinct state, the action embedding and the GRU
+input projections x @ w once per primitive step (M*T rows), the recurrence
+h @ u once per distinct-state/sequence pair, and only the head and the
+sigmoid on every state/sequence pair (the head's gemv rounds by row
+position; see score_library).  Sigma points of a covariance with
+zero-variance axes repeat the mean (7 distinct of 13 for
+evaluation.default_state_covariance), so the recurrence skips the repeats.
+Each element sees the same float operations in the same order as the
+training forward pass on the tiled rows, so the scores are bit-identical
+to it.
 
 The end-to-end variant exists as the comparison baseline: its conv encoder
 is trained jointly from collision labels only, with no reconstruction loss,
@@ -167,10 +172,14 @@ class CollisionPredictor(Model):
         """states: (S, 6), actions: (M, T, 4) -> scores (S, M, T).
 
         Bit-identical to sigmoid(_forward_logits) on the S*M tiled rows; the
-        module docstring lists the work it shares.  Nothing is cached for a
-        backward pass.
+        module docstring lists the work it shares.  The state embedding, h0
+        once per distinct state, and the recurrence run on the distinct
+        states only, compared byte for byte (+0.0 and -0.0 differ).  The
+        hidden states are then gathered back to the tiled layout for the
+        head: its (N, H) @ (H, 1) product goes through gemv, whose rounding
+        depends on a row's position.  Nothing is cached for a backward pass.
         """
-        states = np.asarray(states, dtype=np.float32)
+        states = np.ascontiguousarray(states, dtype=np.float32)
         actions = np.asarray(actions, dtype=np.float32)
         if states.ndim != 2 or states.shape[1] != self.cfg.state_dim:
             raise ShapeError(f"states must be (S, {self.cfg.state_dim}), got {states.shape}")
@@ -180,7 +189,6 @@ class CollisionPredictor(Model):
         pe = self.perception.forward(self._perception_input(perception))
         if pe.shape[0] != 1:
             raise ShapeError("score_library expects a single perception input")
-        se = self.state_emb.forward(states)
 
         def shared(fn, rows, tiled_rows):
             # numpy takes a one-row matmul through gemv, which rounds
@@ -194,20 +202,27 @@ class CollisionPredictor(Model):
             out = shared(lambda rows: rows @ w, a.reshape(-1, a.shape[-1]), s * m)
             return out.reshape(*a.shape[:-1], w.shape[1])
 
+        # the U distinct states, compared by their bits; state i is bits[inverse[i]].
+        # The state embedding stands for the S states, which are embedded
+        # before they are tiled.
+        bits, inverse = np.unique(states.view(np.uint32), axis=0, return_inverse=True)
+        u = len(bits)
+        se = shared(self.state_emb.forward, bits.view(np.float32), s)
         h = shared(self.h0_net.forward,
-                   np.concatenate([np.repeat(pe, s, axis=0), se], axis=1), s * m)[:, None]
+                   np.concatenate([np.repeat(pe, u, axis=0), se], axis=1), s * m)[:, None]
         ae = shared(self.action_emb.forward,
                     np.ascontiguousarray(actions.reshape(m * t, self.cfg.action_dim),
                                          dtype=pe.dtype), s * m * t).reshape(m, t, -1)
         p = self.gru.params
-        hs = np.empty((s, m, t, self.cfg.hidden), dtype=pe.dtype)
-        for i in range(t):  # h: (S, 1, H) until step 0 splits it over the M sequences
+        hs = np.empty((u, m, t, self.cfg.hidden), dtype=pe.dtype)
+        for i in range(t):  # h: (U, 1, H) until step 0 splits it over the M sequences
             x = ae[:, i]
             z = sigmoid(matmul(x, p["wz"]) + matmul(h, p["uz"]) + p["bz"])
             r = sigmoid(matmul(x, p["wr"]) + matmul(h, p["ur"]) + p["br"])
             hc = np.tanh(matmul(x, p["wh"]) + matmul(r * h, p["uh"]) + p["bh"])
             h = hs[:, :, i] = (1.0 - z) * h + z * hc
         head = self.head.params
+        hs = hs[inverse]  # back to the tiled (S, M, T, H) layout for the head
         logits = hs.reshape(s * m * t, -1) @ head["weight"] + head["bias"]
         scores = sigmoid(logits).reshape(s, m, t)
         if not np.all(np.isfinite(scores)):

@@ -100,13 +100,15 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, lam: float | None = None) ->
 
     The weighted sum of points reproduces the mean exactly and the weighted
     outer products reproduce the covariance exactly; a non-PSD covariance is
-    rejected.
+    rejected, and so is a non-finite mean or covariance.
     """
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(cov, dtype=np.float64)
     gamma = mean.shape[0]
     if cov.shape != (gamma, gamma):
         raise PlannerError(f"covariance must be {gamma}x{gamma}, got {cov.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise PlannerError("sigma points need a finite mean and covariance")
     scale = max(1.0, float(np.abs(cov).max()))
     if np.abs(cov - cov.T).max() > 1e-9 * scale:
         raise PlannerError("covariance is not symmetric")

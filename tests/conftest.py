@@ -69,15 +69,28 @@ def _blas_threads():
     return None
 
 
+def _simd_targets() -> str:
+    """The SIMD target numpy dispatched for float32 exp and tanh: sigmoid and
+    the GRU candidate run through them, so their kernels set score bits too."""
+    try:
+        info = np.lib.introspect.opt_func_info(func_name="^(exp|tanh)$", signature="float32")
+    except AttributeError:  # numpy < 2.0 has no introspect module
+        return "float32 exp/tanh SIMD target unknown"
+    return ", ".join(f"float32 {name} {target['current']}"
+                     for name, sigs in sorted(info.items()) for target in sigs.values())
+
+
 def numerics_environment() -> str:
-    """numpy version, BLAS library and BLAS threads: the golden digests in
-    the suite are pinned on this numerics stack."""
+    """numpy version, BLAS library, BLAS threads and the float32 exp/tanh
+    SIMD target: the golden digests in the suite are pinned on this numerics
+    stack."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):  # numpy < 1.26 has no dict form
         blas = "unknown BLAS"
-    return f"numpy {np.__version__}, {blas}, BLAS threads {_blas_threads()}"
+    return (f"numpy {np.__version__}, {blas}, BLAS threads {_blas_threads()}, "
+            f"{_simd_targets()}")
 
 
 def pytest_collection_modifyitems(config, items):

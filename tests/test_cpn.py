@@ -9,8 +9,9 @@ import pytest
 from depthnav.cpn import END_TO_END, CollisionPredictor, CpnConfig, binary_auc, train_cpn
 from depthnav.data import CollisionSet, FrameSet, LatentCollisionSet, mirrored_half
 from depthnav.errors import ShapeError, TrainingError
+from depthnav.evaluation import default_state_covariance
 from depthnav.nn import lrelu_fingerprint, max_param_error, sigmoid
-from depthnav.planner import LibraryConfig, build_library
+from depthnav.planner import LibraryConfig, build_library, sigma_points
 
 TINY = CpnConfig(variant="modular", latent_dim=6, horizon=4, hidden=8,
                  perception_embed=8, state_embed=4, action_embed=4)
@@ -120,6 +121,56 @@ def test_library_scores_equal_tiled_training_forward(cfg, dtype, s, m):
     reference = _tiled_reference(model, perception, states, actions)
     assert scores.dtype == reference.dtype and scores.shape == (s, m, cfg.horizon)
     assert scores.tobytes() == reference.tobytes()
+
+
+def _repeated_states(kind, rng):
+    """13 states with repeated rows: score_library runs the recurrence once
+    per distinct row and must still match the tiled forward bit for bit."""
+    state = rng.normal(size=6)
+    if kind == "sigma":  # yaw rate, roll and pitch have zero variance: 7 of 13 rows distinct
+        return sigma_points(state, default_state_covariance()).points
+    states = np.repeat(state[None], 13, axis=0)
+    if kind == "signed-zero":  # two distinct rows, +0.0 and -0.0 in one column
+        states[:, 3] = 0.0
+        states[::2, 3] = -0.0
+    return states
+
+
+@pytest.mark.parametrize("cfg,dtype", [(TINY, np.float32), (TINY, np.float64),
+                                       (E2E_TINY, np.float32), (E2E_TINY, np.float64),
+                                       (CpnConfig(), np.float32), (CpnConfig(), np.float64)])
+@pytest.mark.parametrize("kind", ["sigma", "equal", "signed-zero"])
+def test_repeated_states_equal_tiled_training_forward(cfg, dtype, kind):
+    model = CollisionPredictor(cfg, seed=7, dtype=dtype)
+    rng = np.random.default_rng(8)
+    if cfg.variant == END_TO_END:
+        perception = rng.random(cfg.image_hw)
+    else:
+        perception = rng.normal(size=cfg.latent_dim)
+    states = _repeated_states(kind, rng)
+    actions = rng.normal(size=(45, cfg.horizon, 4)) * 2.0
+    scores = model.score_library(perception, states, actions)
+    reference = _tiled_reference(model, perception, states, actions)
+    assert scores.dtype == reference.dtype and scores.shape == (13, 45, cfg.horizon)
+    assert scores.tobytes() == reference.tobytes()
+
+
+def test_recurrence_runs_once_per_distinct_state(monkeypatch):
+    cfg = CpnConfig()
+    states = _repeated_states("sigma", np.random.default_rng(0))
+    assert len(np.unique(states.astype(np.float32), axis=0)) == 7
+    shapes = []
+
+    def recording_sigmoid(x):
+        shapes.append(x.shape)
+        return sigmoid(x)
+
+    monkeypatch.setattr("depthnav.cpn.sigmoid", recording_sigmoid)
+    model = CollisionPredictor(cfg, seed=0)
+    lib = build_library(LibraryConfig())
+    model.score_library(np.zeros(cfg.latent_dim), states, lib.actions)
+    # two gates a step on (U, M, H), then the scores on the tiled rows
+    assert shapes == [(7, 45, cfg.hidden)] * (2 * cfg.horizon) + [(13 * 45 * cfg.horizon, 1)]
 
 
 def test_library_scoring_leaves_no_recurrent_cache():

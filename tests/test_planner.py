@@ -99,6 +99,17 @@ class TestSigmaPoints:
         with pytest.raises(PlannerError, match="symmetric"):
             sigma_points(np.zeros(6), asym)
 
+    @pytest.mark.parametrize("axis,value,on", [(0, np.nan, "mean"), (2, np.inf, "mean"),
+                                               (1, np.nan, "cov")])
+    def test_non_finite_input_rejected(self, axis, value, on):
+        mean, cov = np.zeros(6), np.diag([0.04] * 3 + [0.0] * 3)
+        if on == "mean":
+            mean[axis] = value
+        else:
+            cov[axis, axis] = value
+        with pytest.raises(PlannerError, match="finite"):
+            sigma_points(mean, cov)
+
 
 class _ConstantPredictor:
     def __init__(self, value, horizon=10):
