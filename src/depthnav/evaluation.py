@@ -19,7 +19,7 @@ import numpy as np
 from .camera import CameraModel, NoiseParams, corrupt, render_from_state
 from .cpn import CollisionPredictor
 from .data import FrameSet
-from .errors import ShapeError
+from .errors import WorldError
 from .fft_codec import fft_topk_reconstruct
 from .planner import (
     LibraryConfig,
@@ -68,7 +68,7 @@ class SimVehicle:
                  dynamics: DynamicsParams = DynamicsParams(), dt: float = 0.25,
                  mission_seed: int = 0, state_cov: np.ndarray | None = None):
         if check_collision(world, start.position, dynamics.collision_radius):
-            raise ShapeError("mission start pose is in collision")
+            raise WorldError("mission start pose is in collision")
         self.world = world
         self.camera = camera
         self.noise = noise
@@ -146,16 +146,15 @@ class GroundTruthPredictor:
     Used by the oracle-swap checks; ignores perception and sigma points."""
 
     def __init__(self, world: World, vehicle: SimVehicle, dt: float = 0.25,
-                 dynamics: DynamicsParams = DynamicsParams(), substeps: int = 5):
+                 dynamics: DynamicsParams = DynamicsParams()):
         self.world = world
         self.vehicle = vehicle
         self.dt = dt
         self.dynamics = dynamics
-        self.substeps = substeps
 
     def rollout_scores(self, start: RobotState, actions: np.ndarray) -> np.ndarray:
         return rollout_collision_matrix(self.world, start, actions, self.dt,
-                                        self.dynamics, self.substeps).astype(np.float32)
+                                        self.dynamics).astype(np.float32)
 
     def score_library(self, perception, states, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=np.float64)

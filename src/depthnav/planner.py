@@ -35,7 +35,9 @@ class LibraryConfig:
     fov_h: float = np.deg2rad(87.0)
     fov_v: float = np.deg2rad(58.0)
     horizon: int = 10
-    fov_margin: float = 0.9   # keep references inside the camera frustum
+    # references start inside this fraction of the half-FOVs; the steer is
+    # re-applied every step, so a held primitive can turn out of view
+    fov_margin: float = 0.9
 
     def __post_init__(self):
         if self.n_steer < 1 or self.n_vertical < 1 or not self.speeds:

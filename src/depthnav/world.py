@@ -10,7 +10,9 @@ everything else has ID 0.
 Actions are rows [vr_x, vr_y, vr_z, steer]: a reference velocity in the
 vehicle frame plus a steering angle measured from the current yaw.  The
 planner-facing state is the partial state [v(3), yaw_rate, roll, pitch];
-position and yaw stay private to the simulator.
+position and yaw stay private to the simulator.  The flown vehicle, the
+collision labels and the ground-truth oracle integrate through one dynamics
+core, with a fixed SUBSTEPS = 5 substeps per control interval.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ ACTION_DIM = 4
 PARTIAL_STATE_DIM = 6
 
 GRAVITY = 9.81
+SUBSTEPS = 5  # integration substeps per control interval
 
 WORLD_MAGIC = b"WRLD"
 WORLD_VERSION = 1
@@ -265,37 +268,34 @@ def obstacles_within(world: World, x: float, y: float, reach: float) -> tuple[np
             np.hypot(b[:, 0] - x, b[:, 1] - y) - np.hypot(b[:, 2], b[:, 3]) <= reach)
 
 
-def obstacle_distances(world: World, position: np.ndarray) -> np.ndarray:
-    """Euclidean distance from a point to every obstacle solid (cyls then boxes)."""
-    px, py, pz = float(position[0]), float(position[1]), float(position[2])
-    out = []
+def batch_min_clearance(world: World, positions: np.ndarray) -> np.ndarray:
+    """min_clearance for many query points at once; positions (M, 3) -> (M,)."""
+    positions = np.asarray(positions, dtype=np.float64)
+    px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
+    best = np.minimum(pz, world.ceiling - pz)
     if len(world.cylinders):
         c = world.cylinders
-        dxy = np.hypot(px - c[:, 0], py - c[:, 1])
-        radial = np.maximum(dxy - c[:, 2], 0.0)
-        dz = np.maximum(np.maximum(-pz, pz - c[:, 3]), 0.0)
-        out.append(np.hypot(radial, dz))
+        dxy = np.hypot(px[:, None] - c[None, :, 0], py[:, None] - c[None, :, 1])
+        radial = np.maximum(dxy - c[None, :, 2], 0.0)
+        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - c[None, :, 3]), 0.0)
+        best = np.minimum(best, np.hypot(radial, dz).min(axis=1))
     if len(world.boxes):
         b = world.boxes
         cos_y, sin_y = np.cos(b[:, 4]), np.sin(b[:, 4])
-        rx, ry = px - b[:, 0], py - b[:, 1]
-        qx = cos_y * rx + sin_y * ry
-        qy = -sin_y * rx + cos_y * ry
-        dx = np.maximum(np.abs(qx) - b[:, 2], 0.0)
-        dy = np.maximum(np.abs(qy) - b[:, 3], 0.0)
-        dz = np.maximum(np.maximum(-pz, pz - b[:, 5]), 0.0)
-        out.append(np.sqrt(dx * dx + dy * dy + dz * dz))
-    return np.concatenate(out) if out else np.zeros(0)
+        rx = px[:, None] - b[None, :, 0]
+        ry = py[:, None] - b[None, :, 1]
+        qx = cos_y[None, :] * rx + sin_y[None, :] * ry
+        qy = -sin_y[None, :] * rx + cos_y[None, :] * ry
+        dx = np.maximum(np.abs(qx) - b[None, :, 2], 0.0)
+        dy = np.maximum(np.abs(qy) - b[None, :, 3], 0.0)
+        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - b[None, :, 5]), 0.0)
+        best = np.minimum(best, np.sqrt(dx * dx + dy * dy + dz * dz).min(axis=1))
+    return best
 
 
 def min_clearance(world: World, position: np.ndarray) -> float:
     """Distance to the nearest obstacle or to the ground/ceiling planes."""
-    pz = float(position[2])
-    best = min(pz, world.ceiling - pz)
-    d = obstacle_distances(world, position)
-    if d.size:
-        best = min(best, float(d.min()))
-    return best
+    return float(batch_min_clearance(world, np.asarray(position, dtype=np.float64)[None])[0])
 
 
 def check_collision(world: World, position: np.ndarray, radius: float) -> bool:
@@ -353,44 +353,6 @@ def wrap_angle(a: float) -> float:
     return float((a + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def step_dynamics(state: RobotState, action: np.ndarray, dt: float,
-                  params: DynamicsParams = DynamicsParams()) -> RobotState:
-    """First-order velocity and yaw tracking, integrated exactly over dt.
-
-    The commanded velocity is the action's reference velocity rotated by the
-    steering angle about vertical; roll/pitch follow quasi-statically from
-    the commanded acceleration.
-    """
-    if dt <= 0:
-        raise WorldError(f"dt must be > 0, got {dt}")
-    action = np.asarray(action, dtype=np.float64)
-    v_ref = action[:3]
-    speed = np.linalg.norm(v_ref)
-    if speed > params.v_max:
-        v_ref = v_ref * (params.v_max / speed)
-    steer = float(action[3])
-
-    v_cmd = rot_z(steer) @ v_ref
-    accel = (v_cmd - state.velocity) / params.tau_v
-    decay = np.exp(-dt / params.tau_v)
-    v_new = v_cmd + (state.velocity - v_cmd) * decay
-
-    dyaw_des = wrap_angle(steer)
-    dyaw = dyaw_des * (1.0 - np.exp(-dt / params.tau_yaw))
-    dyaw = float(np.clip(dyaw, -params.omega_max * dt, params.omega_max * dt))
-    yaw_new = wrap_angle(state.yaw + dyaw)
-
-    pos_new = state.position + dt * (rot_z(yaw_new) @ v_new)
-    return RobotState(
-        position=pos_new,
-        yaw=yaw_new,
-        velocity=v_new,
-        yaw_rate=dyaw / dt,
-        roll=float(np.arctan2(-accel[1], GRAVITY)),
-        pitch=float(np.arctan2(accel[0], GRAVITY)),
-    )
-
-
 def _within_travel(world: World, start: RobotState, seconds: float,
                    params: DynamicsParams) -> World:
     """The obstacles a vehicle leaving `start` can hit within `seconds`.
@@ -405,21 +367,99 @@ def _within_travel(world: World, start: RobotState, seconds: float,
     return World(world.cylinders[near_c], world.boxes[near_b], world.bounds, world.ceiling)
 
 
+def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
+         n_sub: int, params: DynamicsParams):
+    """The one vehicle integrator: M rows flown from `start` through action
+    sequences (M, T, 4), each control interval of dt in n_sub substeps.
+
+    Each interval clamps the reference to v_max and rotates it by the steer;
+    each substep relaxes velocity and yaw toward it (first order, exact over
+    the substep, yaw rate limited) and advances the position by the velocity
+    rotated into the world frame.  Rotations and the speed are stacked
+    matmuls, so a row reproduces rot_z(a) @ v and np.linalg.norm(v) bit for
+    bit.  With a world every substep is collision-checked, and flying stops
+    once all rows have hit (one row stops at its first colliding substate).
+    Returns cumulative hit flags (M, T), the rows' final position, yaw and
+    velocity, and the last substep's yaw rate and commanded acceleration.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise WorldError(f"dt must be finite and > 0, got {dt}")
+    if actions.ndim != 3 or actions.shape[1] < 1 or actions.shape[2] != ACTION_DIM:
+        raise WorldError(f"actions must be shaped (M, T >= 1, {ACTION_DIM}), got {actions.shape}")
+    if not (np.isfinite(actions).all() and np.isfinite(start.position).all()
+            and np.isfinite(start.velocity).all() and math.isfinite(start.yaw)):
+        raise WorldError("non-finite start state or actions")
+    m, t, _ = actions.shape
+    if world is not None:
+        world = _within_travel(world, start, t * dt, params)
+    pos, vel = np.tile(start.position, (m, 1)), np.tile(start.velocity, (m, 1))
+    yaw = np.full(m, float(start.yaw))
+    hits, hit = np.zeros((m, t), dtype=bool), np.zeros(m, dtype=bool)
+    rot = np.zeros((m, 3, 3))
+    rot[:, 2, 2] = 1.0
+
+    def turn(angle, v):  # rot_z(angle[i]) @ v[i] for every row
+        c, s = np.cos(angle), np.sin(angle)
+        rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+        return np.matmul(rot, v[:, :, None])[:, :, 0]
+
+    sub = dt / n_sub
+    decay = np.exp(-sub / params.tau_v)
+    yaw_gain = 1.0 - np.exp(-sub / params.tau_yaw)
+    yaw_limit = params.omega_max * sub
+    for step in range(t):
+        v_ref = actions[:, step, :3].copy()
+        speed = np.sqrt(np.matmul(v_ref[:, None, :], v_ref[:, :, None]))[:, 0, 0]
+        over = speed > params.v_max
+        v_ref[over] *= (params.v_max / speed[over])[:, None]
+        steer = actions[:, step, 3]
+        v_cmd = turn(steer, v_ref)
+        dyaw = np.clip(((steer + np.pi) % (2.0 * np.pi) - np.pi) * yaw_gain, -yaw_limit, yaw_limit)
+        for _ in range(n_sub):
+            prev = vel
+            vel = v_cmd + (vel - v_cmd) * decay
+            yaw = (yaw + dyaw + np.pi) % (2.0 * np.pi) - np.pi
+            pos = pos + sub * turn(yaw, vel)
+            if world is not None:
+                hit |= batch_min_clearance(world, pos) <= params.collision_radius
+                if hit.all():
+                    break
+        hits[:, step:] = hit[:, None]  # cumulative: later steps overwrite
+        if hit.all():
+            break
+    return hits, pos, yaw, vel, dyaw / sub, (v_cmd - prev) / params.tau_v
+
+
+def _fly_one(world: World | None, state: RobotState, action, dt: float, n_sub: int,
+             params: DynamicsParams) -> tuple[RobotState, bool]:
+    """_fly on one row for one control interval: (new_state, collided)."""
+    action = np.asarray(action, dtype=np.float64)[None, None]
+    hits, pos, yaw, vel, rate, accel = _fly(world, state, action, dt, n_sub, params)
+    roll, pitch = np.arctan2(-accel[0, 1], GRAVITY), np.arctan2(accel[0, 0], GRAVITY)
+    new = RobotState(pos[0], float(yaw[0]), vel[0], float(rate[0]), float(roll), float(pitch))
+    return new, bool(hits[0, 0])
+
+
+def step_dynamics(state: RobotState, action: np.ndarray, dt: float,
+                  params: DynamicsParams = DynamicsParams()) -> RobotState:
+    """First-order velocity and yaw tracking, integrated exactly over dt.
+
+    The commanded velocity is the action's reference velocity rotated by the
+    steering angle about vertical; roll/pitch follow quasi-statically from
+    the commanded acceleration.
+    """
+    return _fly_one(None, state, action, dt, 1, params)[0]
+
+
 def step_with_collision(world: World, state: RobotState, action, dt: float,
-                        params: DynamicsParams, substeps: int = 5):
-    """Advance one control interval, checking collision at each substep.
+                        params: DynamicsParams):
+    """Advance one control interval in SUBSTEPS steps, checking collision
+    after each.
 
     Returns (new_state, collided).  On collision the state is the first
     colliding substate (the episode ends there anyway).
     """
-    world = _within_travel(world, state, dt, params)
-    sub = dt / substeps
-    current = state
-    for _ in range(substeps):
-        current = step_dynamics(current, action, sub, params)
-        if check_collision(world, current.position, params.collision_radius):
-            return current, True
-    return current, False
+    return _fly_one(world, state, action, dt, SUBSTEPS, params)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +468,10 @@ def step_with_collision(world: World, state: RobotState, action, dt: float,
 
 @dataclass(frozen=True)
 class ActionSamplerConfig:
-    """Random action sequences stay inside the camera's field of view."""
+    """Random constant-reference action sequences.  max_steer and max_climb
+    keep the reference direction inside the camera's field of view when a
+    sequence starts; the steer is re-applied relative to the current yaw at
+    every step, so a held sequence keeps turning and can leave the view."""
 
     max_steer: float = 0.66      # rad, ~ horizontal FOV/2 with margin
     max_climb: float = 0.44      # rad, ~ vertical FOV/2 with margin
@@ -504,72 +547,15 @@ def rollout_episode(world: World, start: RobotState, sensor, seed: int,
     )
 
 
-def batch_min_clearance(world: World, positions: np.ndarray) -> np.ndarray:
-    """min_clearance for many query points at once; positions (M, 3) -> (M,)."""
-    positions = np.asarray(positions, dtype=np.float64)
-    px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
-    best = np.minimum(pz, world.ceiling - pz)
-    if len(world.cylinders):
-        c = world.cylinders
-        dxy = np.hypot(px[:, None] - c[None, :, 0], py[:, None] - c[None, :, 1])
-        radial = np.maximum(dxy - c[None, :, 2], 0.0)
-        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - c[None, :, 3]), 0.0)
-        best = np.minimum(best, np.hypot(radial, dz).min(axis=1))
-    if len(world.boxes):
-        b = world.boxes
-        cos_y, sin_y = np.cos(b[:, 4]), np.sin(b[:, 4])
-        rx = px[:, None] - b[None, :, 0]
-        ry = py[:, None] - b[None, :, 1]
-        qx = cos_y[None, :] * rx + sin_y[None, :] * ry
-        qy = -sin_y[None, :] * rx + cos_y[None, :] * ry
-        dx = np.maximum(np.abs(qx) - b[None, :, 2], 0.0)
-        dy = np.maximum(np.abs(qy) - b[None, :, 3], 0.0)
-        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - b[None, :, 5]), 0.0)
-        best = np.minimum(best, np.sqrt(dx * dx + dy * dy + dz * dz).min(axis=1))
-    return best
-
-
 def rollout_collision_matrix(world: World, start: RobotState, actions: np.ndarray,
-                             dt: float, params: DynamicsParams = DynamicsParams(),
-                             substeps: int = 5) -> np.ndarray:
+                             dt: float, params: DynamicsParams = DynamicsParams()) -> np.ndarray:
     """Ground-truth cumulative collision flags for M action sequences rolled
     out in parallel from one start state; actions (M, T, 4) -> (M, T) uint8.
 
-    Follows the same integration as step_with_collision (exact first-order
-    velocity/yaw tracking, collision checked each substep)."""
+    Flies the vehicle's own integrator (the one step_with_collision runs),
+    so a row's flags are exactly those of flying it one step at a time."""
     actions = np.asarray(actions, dtype=np.float64)
-    m, t, _ = actions.shape
-    world = _within_travel(world, start, t * dt, params)
-    pos = np.tile(start.position, (m, 1))
-    yaw = np.full(m, start.yaw)
-    vel = np.tile(start.velocity, (m, 1))
-    hit = np.zeros(m, dtype=bool)
-    out = np.zeros((m, t), dtype=np.uint8)
-    sub = dt / substeps
-    decay = np.exp(-sub / params.tau_v)
-    yaw_gain = 1.0 - np.exp(-sub / params.tau_yaw)
-    for step in range(t):
-        v_ref = actions[:, step, :3].copy()
-        speed = np.linalg.norm(v_ref, axis=1)
-        over = speed > params.v_max
-        v_ref[over] *= (params.v_max / speed[over])[:, None]
-        steer = actions[:, step, 3]
-        cs, sn = np.cos(steer), np.sin(steer)
-        v_cmd = np.stack([cs * v_ref[:, 0] - sn * v_ref[:, 1],
-                          sn * v_ref[:, 0] + cs * v_ref[:, 1],
-                          v_ref[:, 2]], axis=1)
-        dyaw_des = (steer + np.pi) % (2.0 * np.pi) - np.pi
-        dyaw = np.clip(dyaw_des * yaw_gain, -params.omega_max * sub, params.omega_max * sub)
-        for _ in range(substeps):
-            vel = v_cmd + (vel - v_cmd) * decay
-            yaw = (yaw + dyaw + np.pi) % (2.0 * np.pi) - np.pi
-            cy, sy = np.cos(yaw), np.sin(yaw)
-            pos = pos + sub * np.stack([cy * vel[:, 0] - sy * vel[:, 1],
-                                        sy * vel[:, 0] + cy * vel[:, 1],
-                                        vel[:, 2]], axis=1)
-            hit |= batch_min_clearance(world, pos) <= params.collision_radius
-        out[:, step] = hit
-    return out
+    return _fly(world, start, actions, dt, SUBSTEPS, params)[0].astype(np.uint8)
 
 
 def find_free_start(world: World, rng: np.random.Generator, x_range, y_range, z: float = 1.0,

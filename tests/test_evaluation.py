@@ -7,6 +7,7 @@ import pytest
 
 from depthnav.camera import CameraModel, NoiseParams, clean_noise_params
 from depthnav.data import FrameSet
+from depthnav.errors import WorldError
 from depthnav.evaluation import (
     MissionSetup,
     SimVehicle,
@@ -75,6 +76,14 @@ def test_vehicle_exposes_only_partial_state_and_vehicle_frame_goal():
     # goal is expressed in the vehicle frame: a +x world goal with yaw 0.5
     # appears rotated by -0.5
     assert abs(np.arctan2(goal[1], goal[0]) + 0.5) < 1e-9
+
+
+def test_vehicle_start_in_collision_raises_world_error():
+    # the condition rollout_episode also reports as a WorldError
+    world = World(np.array([[5.0, 5.0, 0.5, 3.0, 0.0]]), np.zeros((0, 7)), (0, 0, 10, 10), 4.0)
+    with pytest.raises(WorldError, match="in collision"):
+        SimVehicle(world, hover_state([5.6, 5.0, 1.0]), CameraModel(), clean_noise_params(),
+                   np.array([9.0, 5.0, 1.0]), 9.0)
 
 
 def test_campaign_is_paired_and_deterministic():

@@ -1,11 +1,13 @@
 """World generation, collision geometry, dynamics, and rollouts."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from depthnav.errors import WorldError
+from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
     DynamicsParams,
     RobotState,
@@ -15,6 +17,7 @@ from depthnav.world import (
     check_collision,
     desk_world_params,
     empty_world,
+    find_free_start,
     generate_world,
     hover_state,
     load_world,
@@ -179,6 +182,24 @@ class TestWorldGen:
             params_fn("forest", seed=0)
 
 
+def _brute_obstacle_distances(world, pos):
+    """Distance from a point to every obstacle solid, one scalar math
+    computation per obstacle (cylinders, then boxes)."""
+    px, py, pz = pos
+    for cx, cy, r, h, _ in world.cylinders:
+        dxy = max(math.hypot(px - cx, py - cy) - r, 0.0)
+        dz = max(-pz, pz - h, 0.0)
+        yield math.hypot(dxy, dz)
+    for cx, cy, ex, ey, yaw, h, _ in world.boxes:
+        ca, sa = math.cos(yaw), math.sin(yaw)
+        qx = ca * (px - cx) + sa * (py - cy)
+        qy = -sa * (px - cx) + ca * (py - cy)
+        dx = max(abs(qx) - ex, 0.0)
+        dy = max(abs(qy) - ey, 0.0)
+        dz = max(-pz, pz - h, 0.0)
+        yield math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 class TestCollision:
     def test_empty_world_never_collides_inside_bounds(self):
         world = empty_world()
@@ -210,43 +231,26 @@ class TestCollision:
 
     def test_matches_independent_brute_force(self):
         """check_collision (vectorized) vs a scalar math reimplementation."""
-        import math
-
         world = generate_world(desk_world_params("dense", seed=9))
         rng = np.random.default_rng(1)
 
         def brute(pos, radius):
-            px, py, pz = pos
+            pz = pos[2]
             if pz - radius < 0 or pz + radius > world.ceiling:
                 return True
-            for cx, cy, r, h, _ in world.cylinders:
-                dxy = max(math.hypot(px - cx, py - cy) - r, 0.0)
-                dz = max(-pz, pz - h, 0.0)
-                if math.hypot(dxy, dz) <= radius:
-                    return True
-            for cx, cy, ex, ey, yaw, h, _ in world.boxes:
-                ca, sa = math.cos(yaw), math.sin(yaw)
-                qx = ca * (px - cx) + sa * (py - cy)
-                qy = -sa * (px - cx) + ca * (py - cy)
-                dx = max(abs(qx) - ex, 0.0)
-                dy = max(abs(qy) - ey, 0.0)
-                dz = max(-pz, pz - h, 0.0)
-                if math.sqrt(dx * dx + dy * dy + dz * dz) <= radius:
-                    return True
-            return False
+            return any(d <= radius for d in _brute_obstacle_distances(world, pos))
 
         queries = rng.uniform([0, 0, 0.1], [45, 15, 3.9], size=(1000, 3))
         for pos in queries:
             assert check_collision(world, pos, 0.3) == brute(pos, 0.3)
 
     def test_batch_clearance_matches_scalar(self):
-        from depthnav.world import min_clearance
-
         world = generate_world(desk_world_params("medium", seed=4))
         rng = np.random.default_rng(2)
         pts = rng.uniform([0, 0, 0.2], [45, 15, 3.8], size=(64, 3))
         batch = batch_min_clearance(world, pts)
-        scalar = np.array([min_clearance(world, p) for p in pts])
+        scalar = np.array([min(p[2], world.ceiling - p[2], *_brute_obstacle_distances(world, p))
+                           for p in pts])
         assert np.allclose(batch, scalar, atol=1e-12)
 
 
@@ -320,6 +324,39 @@ class TestDynamics:
             actions = rng.uniform(-1, 1, (24, 10, 4)) * np.array([2.5, 0.5, 0.2, 0.8])
             mat = self._assert_matrix_matches_scalar(world, start, actions)
             assert 0 < mat[:, -1].sum() < len(actions)
+
+    def test_rollout_matrix_agrees_with_scalar_path_on_the_library(self):
+        # the inputs the oracle actually scores: the motion-primitive
+        # library's float32 constant sequences, from a free dense-world state
+        world = generate_world(desk_world_params("dense", seed=5))
+        start = find_free_start(world, np.random.default_rng(6), (16.0, 28.0), (2.0, 13.0))
+        actions = build_library(LibraryConfig()).actions
+        mat = self._assert_matrix_matches_scalar(world, start, actions)
+        assert 0 < mat[:, -1].sum() < len(actions)
+
+    @pytest.mark.parametrize("case", ["nan-action", "inf-action", "nan-position", "inf-velocity",
+                                      "nan-yaw", "zero-dt", "negative-dt", "nan-dt",
+                                      "2d-actions", "3-wide-actions"])
+    def test_rollout_matrix_rejects_bad_inputs(self, case):
+        world = generate_world(desk_world_params("sparse", seed=1))
+        start = RobotState(position=[1.0, 7.5, 1.0], yaw=0.0, velocity=[0.5, 0.0, 0.0])
+        actions, dt = np.tile([1.0, 0.0, 0.0, 0.1], (6, 4, 1)), 0.25
+        if case.endswith("-action"):
+            actions[2, 1, 0] = np.nan if case == "nan-action" else np.inf
+        elif case == "nan-position":
+            start.position[1] = np.nan
+        elif case == "inf-velocity":
+            start.velocity[0] = np.inf
+        elif case == "nan-yaw":
+            start.yaw = float("nan")
+        elif case.endswith("-dt"):
+            dt = {"zero-dt": 0.0, "negative-dt": -0.25, "nan-dt": float("nan")}[case]
+        elif case == "2d-actions":
+            actions = actions[:, 0]
+        else:
+            actions = actions[:, :, :3]
+        with pytest.raises(WorldError):
+            rollout_collision_matrix(world, start, actions, dt)
 
     def test_rollout_matrix_sees_obstacles_at_the_edge_of_reach(self):
         # rods in an annulus around the start that only the last steps can
