@@ -91,6 +91,19 @@ def _need(path: Path, hint: str) -> Path:
     return path
 
 
+def _arm(name: str, cfg: AppConfig, out: Path):
+    """The named arm's factory, loading its trained models from `out`."""
+    if name == "oracle":
+        return oracle_arm(cfg.dt, cfg.dynamics)
+    if name == "modular":
+        return modular_arm(SemanticVae.load(_need(out / F_SEVAE, "train-vae")),
+                           CollisionPredictor.load(_need(out / F_CPN_MOD, "train-cpn")))
+    if name == "end-to-end":
+        return end_to_end_arm(
+            CollisionPredictor.load(_need(out / F_CPN_E2E, "train-cpn --variant end-to-end")))
+    raise ConfigError(f"unknown arm {name!r}")
+
+
 def cmd_gen_world(args) -> int:
     cfg, out = _setup(args)
     params = world_params_fn(cfg)(args.env or cfg.environment, seed=args.seed)
@@ -192,16 +205,8 @@ def cmd_run_mission(args) -> int:
     cfg, out = _setup(args)
     params = world_params_fn(cfg)(args.env or cfg.environment, seed=args.seed)
     world = generate_world(params)
-    setup = _mission_setup(cfg)
-    if args.arm == "oracle":
-        factory = oracle_arm(cfg.dt, cfg.dynamics)
-    elif args.arm == "modular":
-        factory = modular_arm(SemanticVae.load(_need(out / F_SEVAE, "train-vae")),
-                              CollisionPredictor.load(_need(out / F_CPN_MOD, "train-cpn")))
-    else:
-        factory = end_to_end_arm(
-            CollisionPredictor.load(_need(out / F_CPN_E2E, "train-cpn --variant end-to-end")))
-    result = run_mission(world, params.course_length, factory, setup, seed=args.seed)
+    result = run_mission(world, params.course_length, _arm(args.arm, cfg, out),
+                         _mission_setup(cfg), seed=args.seed)
     path = result.telemetry["path"]
     traj = out / "mission_trajectory.csv"
     with open(traj, "w") as fh:
@@ -217,20 +222,7 @@ def cmd_run_mission(args) -> int:
 
 def cmd_run_campaign(args) -> int:
     cfg, out = _setup(args)
-    arms = {}
-    for name in args.arms.split(","):
-        name = name.strip()
-        if name == "modular":
-            arms[name] = modular_arm(
-                SemanticVae.load(_need(out / F_SEVAE, "train-vae")),
-                CollisionPredictor.load(_need(out / F_CPN_MOD, "train-cpn")))
-        elif name == "end-to-end":
-            arms[name] = end_to_end_arm(CollisionPredictor.load(
-                _need(out / F_CPN_E2E, "train-cpn --variant end-to-end")))
-        elif name == "oracle":
-            arms[name] = oracle_arm(cfg.dt, cfg.dynamics)
-        else:
-            raise ConfigError(f"unknown arm {name!r}")
+    arms = {name: _arm(name, cfg, out) for name in map(str.strip, args.arms.split(","))}
     report = run_campaign(arms, environments=cfg.campaign.environments,
                           runs=cfg.campaign.runs, base_seed=args.seed + cfg.campaign.base_seed,
                           setup=_mission_setup(cfg), world_params_fn=world_params_fn(cfg),

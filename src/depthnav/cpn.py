@@ -6,19 +6,23 @@ initialize a single gated recurrent cell; each step consumes one embedded
 action and emits a collision logit through a dense head.  predict() returns
 sigmoid scores in [0, 1].
 
-score_library() scores S states (the planner's sigma points) against M
-action sequences of T steps (the motion-primitive library) without tiling
-them out to S*M*T rows: the perception embedding runs once, the state
-embedding and h0 once per distinct state, the action embedding and the GRU
-input projections x @ w once per primitive step (M*T rows), the recurrence
-h @ u once per distinct-state/sequence pair, and only the head and the
-sigmoid on every state/sequence pair (the head's gemv rounds by row
-position; see score_library).  Sigma points of a covariance with
-zero-variance axes repeat the mean (7 distinct of 13 for
-evaluation.default_state_covariance), so the recurrence skips the repeats.
-Each element sees the same float operations in the same order as the
-training forward pass on the tiled rows, so the scores are bit-identical
-to it.
+One forward pass (CollisionPredictor._logits) serves training, validation
+and library scoring, and GRUCell.forward is the only code of the gates.  By
+row it runs B windows as B rows, and it keeps intermediates only for
+training's backward pass.  In library form, score_library() scores S states
+(the planner's sigma points) against M action sequences of T steps (the
+motion-primitive library) without tiling them out to S*M*T rows: the
+perception embedding runs once, the state embedding and h0 once per
+distinct state, the action embedding and the GRU input projections x @ w
+once per primitive step (M*T rows), the recurrence h @ u once per
+distinct-state/sequence pair, and only the head and the sigmoid on every
+state/sequence pair (the head's gemv rounds by row position).  Sigma points
+of a covariance with zero-variance axes repeat the mean (7 distinct of 13
+for evaluation.default_state_covariance), so the recurrence skips the
+repeats.  A lone row that stands for several tiled rows goes through
+nn.shared_rows, so each element sees the same float operations in the same
+order as the by-row pass on the tiled rows: the scores are bit-identical to
+it.
 
 The end-to-end variant exists as the comparison baseline: its conv encoder
 is trained jointly from collision labels only, with no reconstruction loss,
@@ -43,6 +47,7 @@ from .nn import (
     Sequential,
     conv_out_hw,
     fit,
+    shared_rows,
     sigmoid,
 )
 
@@ -132,19 +137,47 @@ class CollisionPredictor(Model):
             arr = arr[:, None]  # (N, 1, H, W)
         return arr
 
-    def _forward_logits(self, pe, se, actions):
-        """pe: (B, PE), se: (B, SE), actions: (B, T, 4) -> logits (B, T)."""
-        b, t, _ = actions.shape
-        h = self.h0_net.forward(np.concatenate([pe, se], axis=1))
-        ae = self.action_emb.forward(
-            np.ascontiguousarray(actions.reshape(b * t, self.cfg.action_dim), dtype=pe.dtype)
-        ).reshape(b, t, self.cfg.action_embed)
-        self.gru.reset()
-        hs = np.empty((b, t, self.cfg.hidden), dtype=pe.dtype)
+    def _logits(self, perception, states, actions, keep=False, library=False):
+        """The one forward pass: collision logits of action sequences.
+
+        By row (training, validation): B windows, perception (B, ...),
+        states (B, 6), actions (B, T, 4) -> logits (B, T).  library: one
+        perception input, S states and M sequences -> logits (S, M, T) of
+        every state/sequence pair, sharing the work the module docstring
+        lists.  keep caches the intermediates for _backward_logits; without
+        it the pass leaves no cache behind.
+        """
+        cfg = self.cfg
+        pe = self.perception.forward(self._perception_input(perception))
+        n, t = actions.shape[:2]
+        s = m = 1  # how many tiled rows one row stands for, per state and per sequence
+        if library:
+            if pe.shape[0] != 1:
+                raise ShapeError("score_library expects a single perception input")
+            # the U distinct states, compared by their bits; state i is states[inverse[i]]
+            s, m = len(states), n
+            bits, inverse = np.unique(states.view(np.uint32), axis=0, return_inverse=True)
+            states = bits.view(np.float32)
+            pe = np.repeat(pe, len(states), axis=0)
+        se = shared_rows(self.state_emb.forward, states, s)
+        h = shared_rows(self.h0_net.forward, np.concatenate([pe, se], axis=1), s * m)
+        ae = shared_rows(self.action_emb.forward,
+                         np.ascontiguousarray(actions.reshape(n * t, cfg.action_dim),
+                                              dtype=pe.dtype), s * m * t).reshape(n, t, -1)
+        if library:
+            h = h[:, None]  # (U, 1, H) until step 0 splits it over the M sequences
+        if keep:
+            self.gru.reset()
+        hs = np.empty((*h.shape[:-2], n, t, cfg.hidden), dtype=pe.dtype)  # (B | U, M), T, H
         for i in range(t):
-            h = self.gru.forward(ae[:, i], h)
-            hs[:, i] = h
-        logits = self.head.forward(hs.reshape(b * t, self.cfg.hidden)).reshape(b, t)
+            h = hs[..., i, :] = self.gru.forward(ae[:, i], h, keep=keep, tiled=s * m)
+        if library:
+            # back to the tiled (S, M, T, H) layout: the head's (N, H) @ (H, 1)
+            # product goes through gemv, whose rounding depends on a row's position
+            hs = hs[inverse]
+        logits = self.head.forward(hs.reshape(-1, cfg.hidden)).reshape(hs.shape[:-1])
+        if not keep:
+            self.drop_caches()
         return logits
 
     def _backward_logits(self, dlogits):
@@ -171,13 +204,10 @@ class CollisionPredictor(Model):
     def score_library(self, perception, states, actions) -> np.ndarray:
         """states: (S, 6), actions: (M, T, 4) -> scores (S, M, T).
 
-        Bit-identical to sigmoid(_forward_logits) on the S*M tiled rows; the
-        module docstring lists the work it shares.  The state embedding, h0
-        once per distinct state, and the recurrence run on the distinct
-        states only, compared byte for byte (+0.0 and -0.0 differ).  The
-        hidden states are then gathered back to the tiled layout for the
-        head: its (N, H) @ (H, 1) product goes through gemv, whose rounding
-        depends on a row's position.  Nothing is cached for a backward pass.
+        The library form of the one forward pass (_logits): bit-identical
+        to scoring the S*M tiled rows by row, as training does.  Distinct
+        states are compared byte for byte (+0.0 and -0.0 differ).  Nothing
+        is cached for a backward pass.
         """
         states = np.ascontiguousarray(states, dtype=np.float32)
         actions = np.asarray(actions, dtype=np.float32)
@@ -185,46 +215,10 @@ class CollisionPredictor(Model):
             raise ShapeError(f"states must be (S, {self.cfg.state_dim}), got {states.shape}")
         if actions.ndim != 3 or actions.shape[2] != self.cfg.action_dim:
             raise ShapeError(f"actions must be (M, T, {self.cfg.action_dim}), got {actions.shape}")
-        s, (m, t) = len(states), actions.shape[:2]
-        pe = self.perception.forward(self._perception_input(perception))
-        if pe.shape[0] != 1:
-            raise ShapeError("score_library expects a single perception input")
-
-        def shared(fn, rows, tiled_rows):
-            # numpy takes a one-row matmul through gemv, which rounds
-            # differently from gemm: a lone row that stands for several
-            # tiled rows is computed as a pair, as gemm computes those rows
-            if len(rows) == 1 < tiled_rows:
-                return fn(np.concatenate([rows, rows]))[:1]
-            return fn(rows)
-
-        def matmul(a, w):  # (..., K) @ (K, N) as one 2-D product
-            out = shared(lambda rows: rows @ w, a.reshape(-1, a.shape[-1]), s * m)
-            return out.reshape(*a.shape[:-1], w.shape[1])
-
-        # the U distinct states, compared by their bits; state i is bits[inverse[i]].
-        # The state embedding stands for the S states, which are embedded
-        # before they are tiled.
-        bits, inverse = np.unique(states.view(np.uint32), axis=0, return_inverse=True)
-        u = len(bits)
-        se = shared(self.state_emb.forward, bits.view(np.float32), s)
-        h = shared(self.h0_net.forward,
-                   np.concatenate([np.repeat(pe, u, axis=0), se], axis=1), s * m)[:, None]
-        ae = shared(self.action_emb.forward,
-                    np.ascontiguousarray(actions.reshape(m * t, self.cfg.action_dim),
-                                         dtype=pe.dtype), s * m * t).reshape(m, t, -1)
-        p = self.gru.params
-        hs = np.empty((u, m, t, self.cfg.hidden), dtype=pe.dtype)
-        for i in range(t):  # h: (U, 1, H) until step 0 splits it over the M sequences
-            x = ae[:, i]
-            z = sigmoid(matmul(x, p["wz"]) + matmul(h, p["uz"]) + p["bz"])
-            r = sigmoid(matmul(x, p["wr"]) + matmul(h, p["ur"]) + p["br"])
-            hc = np.tanh(matmul(x, p["wh"]) + matmul(r * h, p["uh"]) + p["bh"])
-            h = hs[:, :, i] = (1.0 - z) * h + z * hc
-        head = self.head.params
-        hs = hs[inverse]  # back to the tiled (S, M, T, H) layout for the head
-        logits = hs.reshape(s * m * t, -1) @ head["weight"] + head["bias"]
-        scores = sigmoid(logits).reshape(s, m, t)
+        if not (len(states) and actions.shape[0] and actions.shape[1]):
+            raise ShapeError(f"S, M and T must be >= 1, got states {states.shape}, "
+                             f"actions {actions.shape}")
+        scores = sigmoid(self._logits(perception, states, actions, library=True))
         if not np.all(np.isfinite(scores)):
             raise TrainingError("collision scores non-finite")
         return scores
@@ -240,9 +234,7 @@ class CollisionPredictor(Model):
         symmetric KL divergence between the pair's predictions,
         (p_a - p_b) * (logit_a - logit_b), so mirrored inputs learn to agree.
         """
-        pe = self.perception.forward(self._perception_input(perception_batch))
-        se = self.state_emb.forward(states)
-        logits = self._forward_logits(pe, se, actions)
+        logits = self._logits(perception_batch, states, actions, keep=True)
         y = labels.astype(logits.dtype)
         w = np.where(y > 0, pos_weight, 1.0).astype(logits.dtype)
         # stable bce-with-logits
@@ -343,9 +335,7 @@ def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
         scores_all, labels_all = [], []
         for lo in range(0, len(va), batch_size):
             idx = va[lo : lo + batch_size]
-            pe = model.perception.forward(model._perception_input(perception[idx]))
-            se = model.state_emb.forward(states_f[idx])
-            logits = model._forward_logits(pe, se, actions_f[idx])
+            logits = model._logits(perception[idx], states_f[idx], actions_f[idx])
             y = labels[idx].astype(np.float64)
             l64 = logits.astype(np.float64)
             bce = np.maximum(l64, 0) - l64 * y + np.log1p(np.exp(-np.abs(l64)))

@@ -152,13 +152,10 @@ class GroundTruthPredictor:
         self.dt = dt
         self.dynamics = dynamics
 
-    def rollout_scores(self, start: RobotState, actions: np.ndarray) -> np.ndarray:
-        return rollout_collision_matrix(self.world, start, actions, self.dt,
-                                        self.dynamics).astype(np.float32)
-
     def score_library(self, perception, states, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=np.float64)
-        scores = self.rollout_scores(self.vehicle.true_state(), actions)
+        scores = rollout_collision_matrix(self.world, self.vehicle.true_state(), actions,
+                                          self.dt, self.dynamics).astype(np.float32)
         return np.broadcast_to(scores, (len(states), *scores.shape)).copy()
 
 

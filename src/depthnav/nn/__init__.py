@@ -14,21 +14,20 @@ from .layers import (
     Layer,
     Reshape,
     Sequential,
-    backward,
     conv_out_hw,
-    forward,
     leaky_relu,
     lrelu_fingerprint,
     sample_latent,
     sample_latent_backward,
+    shared_rows,
     sigmoid,
 )
 from .model import Model, fit
 
 __all__ = [
     "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "Entry", "Flatten",
-    "GRUCell", "Layer", "Model", "Reshape", "Sequential", "adam_step", "backward",
-    "conv_out_hw", "fit", "forward", "leaky_relu", "load_checkpoint", "lrelu_fingerprint", "max_param_error",
+    "GRUCell", "Layer", "Model", "Reshape", "Sequential", "adam_step", "conv_out_hw", "fit",
+    "leaky_relu", "load_checkpoint", "lrelu_fingerprint", "max_param_error",
     "numeric_gradient", "relative_errors", "sample_latent", "sample_latent_backward",
-    "save_checkpoint", "sigmoid",
+    "save_checkpoint", "shared_rows", "sigmoid",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError, TrainingError
+from ..errors import ShapeError
 
 DTYPE = np.float32
 
@@ -46,6 +46,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
+
+
+def shared_rows(fn, rows: np.ndarray, tiled: int) -> np.ndarray:
+    """fn(rows), rounded as in a product over `tiled` rows that repeat them.
+
+    numpy takes a one-row matmul through gemv, which rounds differently
+    from gemm: a lone row that stands for several tiled rows is computed
+    as a pair, as gemm computes those rows.  fn maps rows to rows.
+    """
+    if len(rows) == 1 < tiled:
+        return fn(np.concatenate([rows, rows]))[:1]
+    return fn(rows)
 
 
 class Layer:
@@ -347,9 +359,20 @@ class Reshape(Layer):
 
 
 class GRUCell(Layer):
-    """Single gated recurrent cell.  forward() pushes onto an internal stack
-    so an unrolled sequence can be backpropagated by calling backward() in
-    reverse step order."""
+    """Single gated recurrent cell; the one implementation of its gates.
+
+    forward(x, h) broadcasts x (..., in) against h (..., hidden), so one
+    step can run M sequences' inputs (M, in) against U hidden states
+    (U, 1, hidden) and return (U, M, hidden).  Every product is one 2-D
+    matmul over the leading axes of its operand, computed through
+    shared_rows: `tiled` is how many rows of the tiled batch (every
+    state/sequence pair) each call stands for, 1 when the rows are the
+    batch itself.
+
+    With keep (the default) forward pushes its intermediates onto an
+    internal stack, so an unrolled sequence of 2-D rows is backpropagated
+    by calling backward() in reverse step order; without keep it caches
+    nothing."""
 
     kind = "gru"
 
@@ -376,14 +399,20 @@ class GRUCell(Layer):
     def reset(self):
         self._stack = []
 
-    def forward(self, x, h):
+    def forward(self, x, h, keep=True, tiled=1):
         p = self.params
-        z = sigmoid(x @ p["wz"] + h @ p["uz"] + p["bz"])
-        r = sigmoid(x @ p["wr"] + h @ p["ur"] + p["br"])
+
+        def mm(a, w):
+            out = shared_rows(lambda rows: rows @ w, a.reshape(-1, a.shape[-1]), tiled)
+            return out.reshape(*a.shape[:-1], w.shape[1])
+
+        z = sigmoid(mm(x, p["wz"]) + mm(h, p["uz"]) + p["bz"])
+        r = sigmoid(mm(x, p["wr"]) + mm(h, p["ur"]) + p["br"])
         rh = r * h
-        hc = np.tanh(x @ p["wh"] + rh @ p["uh"] + p["bh"])
+        hc = np.tanh(mm(x, p["wh"]) + mm(rh, p["uh"]) + p["bh"])
         h_new = (1.0 - z) * h + z * hc
-        self._stack.append((x, h, z, r, rh, hc))
+        if keep:
+            self._stack.append((x, h, z, r, rh, hc))
         return h_new
 
     def backward(self, dh_new):
@@ -432,22 +461,6 @@ class Sequential:
         for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
-
-
-def forward(network: Sequential, x: np.ndarray) -> np.ndarray:
-    """Run a network forward; output is checked finite."""
-    y = network.forward(x)
-    if not np.all(np.isfinite(y)):
-        raise TrainingError("forward produced non-finite values")
-    return y
-
-
-def backward(network: Sequential, dy: np.ndarray) -> np.ndarray:
-    """Backpropagate an output gradient; returns the input gradient."""
-    dx = network.backward(dy)
-    if not np.all(np.isfinite(dx)):
-        raise TrainingError("backward produced non-finite values")
-    return dx
 
 
 def lrelu_fingerprint(layers) -> np.ndarray:

@@ -48,6 +48,12 @@ class Model:
         for layer in self._layers:
             layer.zero_grad()
 
+    def drop_caches(self) -> None:
+        """Free every layer's forward intermediates after a pass that no
+        backward pass follows."""
+        for layer in self._layers:
+            layer._cache = None
+
     def save(self, path, extra_meta: dict | None = None) -> None:
         entries = {f"{layer.name}.{key}": Entry(layer.kind, layer.stride, arr)
                    for layer in self._layers for key, arr in layer.params.items()}

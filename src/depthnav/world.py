@@ -194,10 +194,6 @@ class World:
     def obstacle_count(self) -> int:
         return len(self.cylinders) + len(self.boxes)
 
-    def thin_instance_ids(self) -> np.ndarray:
-        ids = np.concatenate([self.cylinders[:, 4], self.boxes[:, 6]]) if self.obstacle_count else np.zeros(0)
-        return np.unique(ids[ids >= 1]).astype(np.int64)
-
 
 def generate_world(params: WorldGenParams) -> World:
     """Build the three-section course; deterministic per params.seed."""

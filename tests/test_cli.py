@@ -98,6 +98,13 @@ def test_zero_batch_size_gives_one_error_line(micro, capsys):
     assert not (out / "sevae.ckpt").exists()
 
 
+def test_unknown_arm_gives_one_error_line(micro, capsys):
+    ini, out = micro
+    assert main(["run-campaign", "--arms", "bogus", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: unknown arm 'bogus'")
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

@@ -1,7 +1,7 @@
 """Collision predictor: score contracts, recurrent gradient check, training."""
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -91,13 +91,34 @@ def test_library_scores_bit_identical(variant, seed):
     assert hashlib.sha256(scores.tobytes()).hexdigest() == SCORE_GOLDEN[variant]
 
 
+def _row_logits(model, pe, se, actions):
+    """Reference forward by row from the public layers: B windows are B
+    rows, and the GRU cell steps on 2-D rows with no tiling and no cache."""
+    b, t = actions.shape[:2]
+    h = model.h0_net.forward(np.concatenate([pe, se], axis=1))
+    ae = model.action_emb.forward(actions.reshape(b * t, -1).astype(pe.dtype)).reshape(b, t, -1)
+    hs = []
+    for i in range(t):
+        h = model.gru.forward(ae[:, i], h, keep=False)
+        hs.append(h)
+    return model.head.forward(np.stack(hs, axis=1).reshape(b * t, -1)).reshape(b, t)
+
+
+def _perception_rows(model, perception):
+    x = np.asarray(perception, np.float32)
+    if model.cfg.variant == END_TO_END:
+        return model.perception.forward(x.reshape(-1, 1, *model.cfg.image_hw))
+    return model.perception.forward(x.reshape(-1, model.cfg.latent_dim))
+
+
 def _tiled_reference(model, perception, states, actions):
-    """Scores through the training forward pass on every (state, sequence) row."""
+    """Scores by row on every (state, sequence) pair: the S states are
+    embedded, then tiled with the M sequences into S*M rows."""
     s, m = len(states), len(actions)
-    pe = model.perception.forward(model._perception_input(perception))
+    pe = _perception_rows(model, perception)
     se = model.state_emb.forward(np.asarray(states, np.float32))
-    logits = model._forward_logits(np.repeat(pe, s * m, axis=0), np.repeat(se, m, axis=0),
-                                   np.tile(np.asarray(actions, np.float32), (s, 1, 1)))
+    logits = _row_logits(model, np.repeat(pe, s * m, axis=0), np.repeat(se, m, axis=0),
+                         np.tile(np.asarray(actions, np.float32), (s, 1, 1)))
     return sigmoid(logits).reshape(s, m, -1)
 
 
@@ -136,11 +157,30 @@ def _repeated_states(kind, rng):
     return states
 
 
-@pytest.mark.parametrize("cfg,dtype", [(TINY, np.float32), (TINY, np.float64),
-                                       (E2E_TINY, np.float32), (E2E_TINY, np.float64),
-                                       (CpnConfig(), np.float32), (CpnConfig(), np.float64)])
+TINY_H1, E2E_TINY_H1 = replace(TINY, horizon=1), replace(E2E_TINY, horizon=1)
+# (config, dtype, M); the first six keep their original test ids
+REPEATED_CASES = [
+    pytest.param(TINY, np.float32, 45, id="cfg0-float32"),
+    pytest.param(TINY, np.float64, 45, id="cfg1-float64"),
+    pytest.param(E2E_TINY, np.float32, 45, id="cfg2-float32"),
+    pytest.param(E2E_TINY, np.float64, 45, id="cfg3-float64"),
+    pytest.param(CpnConfig(), np.float32, 45, id="cfg4-float32"),
+    pytest.param(CpnConfig(), np.float64, 45, id="cfg5-float64"),
+    pytest.param(TINY, np.float32, 1, id="tiny-m1-float32"),
+    pytest.param(TINY_H1, np.float32, 45, id="tiny-horizon1-float32"),
+    pytest.param(TINY_H1, np.float64, 1, id="tiny-m1-horizon1-float64"),
+    pytest.param(E2E_TINY_H1, np.float32, 1, id="e2e-m1-horizon1-float32"),
+    pytest.param(CpnConfig(), np.float32, 1, id="default-m1-float32"),
+    pytest.param(replace(CpnConfig(), horizon=1), np.float32, 1,
+                 id="default-m1-horizon1-float32"),
+]
+
+
+@pytest.mark.parametrize("cfg,dtype,m", REPEATED_CASES)
 @pytest.mark.parametrize("kind", ["sigma", "equal", "signed-zero"])
-def test_repeated_states_equal_tiled_training_forward(cfg, dtype, kind):
+def test_repeated_states_equal_tiled_training_forward(cfg, dtype, m, kind):
+    """With M = 1 and horizon 1 and equal states, every product of the
+    library form has one row standing for 13 tiled rows."""
     model = CollisionPredictor(cfg, seed=7, dtype=dtype)
     rng = np.random.default_rng(8)
     if cfg.variant == END_TO_END:
@@ -148,10 +188,10 @@ def test_repeated_states_equal_tiled_training_forward(cfg, dtype, kind):
     else:
         perception = rng.normal(size=cfg.latent_dim)
     states = _repeated_states(kind, rng)
-    actions = rng.normal(size=(45, cfg.horizon, 4)) * 2.0
+    actions = rng.normal(size=(m, cfg.horizon, 4)) * 2.0
     scores = model.score_library(perception, states, actions)
     reference = _tiled_reference(model, perception, states, actions)
-    assert scores.dtype == reference.dtype and scores.shape == (13, 45, cfg.horizon)
+    assert scores.dtype == reference.dtype and scores.shape == (13, m, cfg.horizon)
     assert scores.tobytes() == reference.tobytes()
 
 
@@ -165,12 +205,14 @@ def test_recurrence_runs_once_per_distinct_state(monkeypatch):
         shapes.append(x.shape)
         return sigmoid(x)
 
-    monkeypatch.setattr("depthnav.cpn.sigmoid", recording_sigmoid)
+    monkeypatch.setattr("depthnav.nn.layers.sigmoid", recording_sigmoid)  # the GRU gates
+    monkeypatch.setattr("depthnav.cpn.sigmoid", recording_sigmoid)  # the scores
     model = CollisionPredictor(cfg, seed=0)
     lib = build_library(LibraryConfig())
     model.score_library(np.zeros(cfg.latent_dim), states, lib.actions)
     # two gates a step on (U, M, H), then the scores on the tiled rows
-    assert shapes == [(7, 45, cfg.hidden)] * (2 * cfg.horizon) + [(13 * 45 * cfg.horizon, 1)]
+    assert shapes[:-1] == [(7, 45, cfg.hidden)] * (2 * cfg.horizon)
+    assert np.prod(shapes[-1]) == 13 * 45 * cfg.horizon
 
 
 def test_library_scoring_leaves_no_recurrent_cache():
@@ -178,6 +220,21 @@ def test_library_scoring_leaves_no_recurrent_cache():
     rng = np.random.default_rng(2)
     model.score_library(rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=(4, 4, 4)))
     assert model.gru._stack == []
+    assert all(layer._cache is None for layer in model.layers())
+
+
+def test_training_leaves_no_recurrent_cache():
+    model, _ = train_cpn(_latent_ds(40), TINY, seed=0, epochs=1, batch_size=16)
+    assert model.gru._stack == []
+    assert all(layer._cache is None for layer in model.layers())
+
+
+@pytest.mark.parametrize("states,actions", [((0, 6), (3, 4, 4)), ((2, 6), (0, 4, 4)),
+                                            ((2, 6), (3, 0, 4))], ids=["S0", "M0", "T0"])
+def test_empty_library_inputs_rejected(states, actions):
+    model = CollisionPredictor(TINY, seed=1)
+    with pytest.raises(ShapeError, match="S, M and T"):
+        model.score_library(np.zeros(6), np.zeros(states), np.zeros(actions))
 
 
 def test_non_finite_scores_raise():
@@ -375,8 +432,8 @@ def test_mirror_pair_term_is_the_symmetric_kl_of_the_pair():
             ds.actions.astype(np.float64), ds.labels)
     plain = cpn.loss_and_grads(*args, pos_weight=2.0)
     paired = cpn.loss_and_grads(*args, pos_weight=2.0, mirrored=True)
-    pe = cpn.perception.forward(cpn._perception_input(args[0]))
-    logits = cpn._forward_logits(pe, cpn.state_emb.forward(args[1]), args[2])
+    logits = _row_logits(cpn, _perception_rows(cpn, args[0]), cpn.state_emb.forward(args[1]),
+                         args[2])
     p, w = sigmoid(logits), np.where(ds.labels[:4] > 0, 2.0, 1.0)
     kl = lambda a, b: a * np.log(a / b) + (1 - a) * np.log((1 - a) / (1 - b))  # noqa: E731
     jeffreys = w * (kl(p[:4], p[4:]) + kl(p[4:], p[:4]))

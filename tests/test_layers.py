@@ -14,14 +14,13 @@ from depthnav.nn import (
     GRUCell,
     Reshape,
     Sequential,
-    backward,
     conv_out_hw,
-    forward,
     leaky_relu,
     lrelu_fingerprint,
     max_param_error,
     sample_latent,
     sample_latent_backward,
+    shared_rows,
     sigmoid,
 )
 
@@ -90,7 +89,7 @@ def test_forward_is_deterministic():
     net = Sequential([Conv2d(1, 4, (3, 3), 2, rng=rng, name="c"),
                       Activation("lrelu", name="a"), Flatten(name="f")])
     x = rng.standard_normal((2, 1, 10, 12)).astype(np.float32)
-    assert np.array_equal(forward(net, x), forward(net, x))
+    assert np.array_equal(net.forward(x), net.forward(x))
 
 
 def _loss_grads(layer, x, probe):
@@ -208,13 +207,27 @@ def test_sample_latent_formula_and_gradients():
     assert abs(dlv[0] - 0.5 * 2.0 * 0.5) < 1e-12
 
 
-def test_network_level_forward_backward_wrappers():
-    rng = np.random.default_rng(2)
-    net = Sequential([Dense(4, 3, rng=rng, name="a"), Activation("tanh", name="t")])
-    x = rng.standard_normal((2, 4)).astype(np.float32)
-    y = forward(net, x)
-    dx = backward(net, np.ones_like(y))
-    assert dx.shape == x.shape
+def test_shared_rows_computes_a_lone_tiled_row_as_a_pair():
+    # the shape of the GRU's h @ u; every row of its gemm rounds alike
+    rng = np.random.default_rng(5)
+    row = rng.standard_normal((1, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 64)).astype(np.float32)
+    tiled = np.repeat(row, 13, axis=0) @ w
+    assert shared_rows(lambda r: r @ w, row, 13).tobytes() == tiled[:1].tobytes()
+    assert shared_rows(lambda r: r @ w, row, 1).tobytes() == (row @ w).tobytes()
+
+
+def test_gru_step_broadcasts_and_caches_only_when_kept():
+    rng = np.random.default_rng(4)
+    cell = GRUCell(4, 6, rng=rng)
+    x = rng.standard_normal((5, 4)).astype(np.float32)     # M = 5 inputs
+    h = rng.standard_normal((3, 1, 6)).astype(np.float32)  # U = 3 hidden states
+    out = cell.forward(x, h, keep=False, tiled=15)
+    assert out.shape == (3, 5, 6) and cell._stack == []
+    for u in range(3):
+        rows = cell.forward(x, np.repeat(h[u], 5, axis=0))
+        assert rows.tobytes() == out[u].tobytes()
+    assert len(cell._stack) == 3
 
 
 def _split_sigmoid(x):

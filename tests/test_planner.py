@@ -215,6 +215,18 @@ class TestSelect:
         with pytest.raises(PlannerError):
             select_action(np.zeros(len(lib)), lib.end_dirs, np.zeros(3), 0.3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        lib = self._lib()
+        scores = np.zeros(len(lib))
+        scores[3] = bad
+        with pytest.raises(PlannerError, match="finite"):
+            select_action(scores, lib.end_dirs, np.array([1.0, 0, 0]), 0.3)
+
+    def test_empty_scores_rejected(self):
+        with pytest.raises(PlannerError, match="non-empty"):
+            select_action(np.zeros(0), np.zeros((0, 3)), np.array([1.0, 0, 0]), 0.3)
+
 
 class TestRecedingHorizon:
     def test_empty_world_goal_straight_succeeds_with_near_straight_path(self):
