@@ -12,7 +12,10 @@ vehicle frame plus a steering angle measured from the current yaw.  The
 planner-facing state is the partial state [v(3), yaw_rate, roll, pitch];
 position and yaw stay private to the simulator.  The flown vehicle, the
 collision labels and the ground-truth oracle integrate through one dynamics
-core, with a fixed SUBSTEPS = 5 substeps per control interval.
+core, with a fixed SUBSTEPS = 5 substeps per control interval.  It flies
+first and checks after: every row's substates are recorded, then the whole
+path is collision-checked in one culled pass, and each row reports the state
+at its own first colliding substate, or at the end of its flight.
 """
 
 from __future__ import annotations
@@ -264,28 +267,42 @@ def obstacles_within(world: World, x: float, y: float, reach: float) -> tuple[np
             np.hypot(b[:, 0] - x, b[:, 1] - y) - np.hypot(b[:, 2], b[:, 3]) <= reach)
 
 
+# Distance from points to cylinders [cx, cy, radius, height] and to boxes
+# [cx, cy, ex, ey, height] of yaw cos_y, sin_y; the arguments broadcast, so
+# one formula serves (point, obstacle) grids and flat lists of pairs alike.
+
+def _cylinder_clearance(px, py, pz, cx, cy, radius, height):
+    radial = np.maximum(np.hypot(px - cx, py - cy) - radius, 0.0)
+    dz = np.maximum(np.maximum(-pz, pz - height), 0.0)
+    return np.hypot(radial, dz)
+
+
+def _box_clearance(px, py, pz, cx, cy, ex, ey, height, cos_y, sin_y):
+    rx, ry = px - cx, py - cy
+    qx = cos_y * rx + sin_y * ry
+    qy = -sin_y * rx + cos_y * ry
+    dx = np.maximum(np.abs(qx) - ex, 0.0)
+    dy = np.maximum(np.abs(qy) - ey, 0.0)
+    dz = np.maximum(np.maximum(-pz, pz - height), 0.0)
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def batch_min_clearance(world: World, positions: np.ndarray) -> np.ndarray:
-    """min_clearance for many query points at once; positions (M, 3) -> (M,)."""
+    """min_clearance for many query points at once; positions (N, 3) -> (N,).
+    Non-finite positions raise: a NaN clearance would read as free."""
     positions = np.asarray(positions, dtype=np.float64)
-    px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
-    best = np.minimum(pz, world.ceiling - pz)
-    if len(world.cylinders):
-        c = world.cylinders
-        dxy = np.hypot(px[:, None] - c[None, :, 0], py[:, None] - c[None, :, 1])
-        radial = np.maximum(dxy - c[None, :, 2], 0.0)
-        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - c[None, :, 3]), 0.0)
-        best = np.minimum(best, np.hypot(radial, dz).min(axis=1))
-    if len(world.boxes):
-        b = world.boxes
-        cos_y, sin_y = np.cos(b[:, 4]), np.sin(b[:, 4])
-        rx = px[:, None] - b[None, :, 0]
-        ry = py[:, None] - b[None, :, 1]
-        qx = cos_y[None, :] * rx + sin_y[None, :] * ry
-        qy = -sin_y[None, :] * rx + cos_y[None, :] * ry
-        dx = np.maximum(np.abs(qx) - b[None, :, 2], 0.0)
-        dy = np.maximum(np.abs(qy) - b[None, :, 3], 0.0)
-        dz = np.maximum(np.maximum(-pz[:, None], pz[:, None] - b[None, :, 5]), 0.0)
-        best = np.minimum(best, np.sqrt(dx * dx + dy * dy + dz * dz).min(axis=1))
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise WorldError(f"positions must be shaped (N, 3), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise WorldError("non-finite position")
+    px, py, pz = positions[:, :1], positions[:, 1:2], positions[:, 2:]
+    best = np.minimum(positions[:, 2], world.ceiling - positions[:, 2])
+    c, b = world.cylinders, world.boxes
+    if len(c):
+        best = np.minimum(best, _cylinder_clearance(px, py, pz, *c[:, :4].T).min(axis=1))
+    if len(b):
+        best = np.minimum(best, _box_clearance(px, py, pz, *b[:, :4].T, b[:, 5],
+                                               np.cos(b[:, 4]), np.sin(b[:, 4])).min(axis=1))
     return best
 
 
@@ -297,8 +314,6 @@ def min_clearance(world: World, position: np.ndarray) -> float:
 def check_collision(world: World, position: np.ndarray, radius: float) -> bool:
     """True iff a sphere at `position` intersects any obstacle or the
     ground/ceiling bounds."""
-    if not np.all(np.isfinite(position)):
-        raise WorldError(f"non-finite position {position}")
     return min_clearance(world, position) <= radius
 
 
@@ -313,6 +328,15 @@ class DynamicsParams:
     omega_max: float = 1.6  # yaw rate limit, rad/s
     v_max: float = 1.5      # reference speed limit, m/s
     collision_radius: float = 0.3
+
+    def __post_init__(self):
+        for name in ("tau_v", "tau_yaw", "omega_max", "v_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise WorldError(f"dynamics {name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.collision_radius) and self.collision_radius >= 0):
+            raise WorldError(f"dynamics collision_radius must be finite and >= 0, "
+                             f"got {self.collision_radius}")
 
 
 @dataclass
@@ -363,6 +387,40 @@ def _within_travel(world: World, start: RobotState, seconds: float,
     return World(world.cylinders[near_c], world.boxes[near_b], world.bounds, world.ceiling)
 
 
+def _path_hits(world: World, path: np.ndarray, radius: float, hit: np.ndarray) -> None:
+    """Set hit (K, M) where substate k of row m of the path (K, M, 3) collides.
+
+    Ground and ceiling are tested per position.  Obstacles pass a broad
+    phase first: each row's swept xy box against each obstacle's footprint
+    circle (a box's circumscribed one, of radius hypot(ex, ey)), widened by
+    the radius and a 1 um slack that absorbs rounding.  Only the surviving
+    (substep, row, obstacle) triples get the exact distance, with the
+    formulas of batch_min_clearance.
+    """
+    z = path[:, :, 2]
+    np.less_equal(np.minimum(z, world.ceiling - z), radius, out=hit)
+    lo, hi = path[:, :, None, :2].min(axis=0), path[:, :, None, :2].max(axis=0)  # (M, 1, 2)
+
+    def near(table, foot):  # (row, obstacle) pairs that survive the broad phase
+        gap = np.maximum(np.maximum(lo - table[:, :2], table[:, :2] - hi), 0.0)
+        return np.nonzero(np.hypot(gap[..., 0], gap[..., 1]) - foot <= radius + 1e-6)
+
+    def mark(rows, clearance):  # clearance (K, pairs)
+        k, pair = np.nonzero(clearance <= radius)
+        hit[k, rows[pair]] = True
+
+    c, b = world.cylinders, world.boxes
+    rows, obs = near(c, c[:, 2])
+    if len(rows):
+        p, cyl = path.take(rows, axis=1).transpose(2, 0, 1), c.take(obs, axis=0)
+        mark(rows, _cylinder_clearance(*p, *cyl[:, :4].T))
+    rows, obs = near(b, np.hypot(b[:, 2], b[:, 3]))
+    if len(rows):
+        p, box = path.take(rows, axis=1).transpose(2, 0, 1), b.take(obs, axis=0)
+        cos_y, sin_y = np.cos(b[:, 4]).take(obs), np.sin(b[:, 4]).take(obs)
+        mark(rows, _box_clearance(*p, *box[:, :4].T, box[:, 5], cos_y, sin_y))
+
+
 def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
          n_sub: int, params: DynamicsParams):
     """The one vehicle integrator: M rows flown from `start` through action
@@ -373,10 +431,11 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
     the substep, yaw rate limited) and advances the position by the velocity
     rotated into the world frame.  Rotations and the speed are stacked
     matmuls, so a row reproduces rot_z(a) @ v and np.linalg.norm(v) bit for
-    bit.  With a world every substep is collision-checked, and flying stops
-    once all rows have hit (one row stops at its first colliding substate).
-    Returns cumulative hit flags (M, T), the rows' final position, yaw and
-    velocity, and the last substep's yaw rate and commanded acceleration.
+    bit.  Flying integrates first, recording every substate; with a world,
+    the whole (T * n_sub, M) path is then collision-checked in one pass.
+    Returns cumulative hit flags (M, T) and, per row, the state at its first
+    colliding substate, or at the end when it never collides: position, yaw
+    and velocity, and that substep's yaw rate and commanded acceleration.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise WorldError(f"dt must be finite and > 0, got {dt}")
@@ -388,16 +447,21 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
     m, t, _ = actions.shape
     if world is not None:
         world = _within_travel(world, start, t * dt, params)
-    pos, vel = np.tile(start.position, (m, 1)), np.tile(start.velocity, (m, 1))
-    yaw = np.full(m, float(start.yaw))
-    hits, hit = np.zeros((m, t), dtype=bool), np.zeros(m, dtype=bool)
-    rot = np.zeros((m, 3, 3))
+    pos = np.tile(start.position, (m, 1))
+    # substate k's position is path[k]; its yaw and velocity are yaws[k + 1]
+    # and vels[k + 1], after the start's in row 0
+    path = np.empty((t * n_sub, m, 3))
+    yaws, vels = np.empty((t * n_sub + 1, m)), np.empty((t * n_sub + 1, m, 3))
+    yaws[0], vels[0] = start.yaw, start.velocity
+    v_cmds, dyaws = np.empty((t * n_sub, m, 3)), np.empty((t * n_sub, m))  # per substate
+    rot = np.zeros((n_sub * m, 3, 3))
     rot[:, 2, 2] = 1.0
 
     def turn(angle, v):  # rot_z(angle[i]) @ v[i] for every row
+        r = rot[:len(angle)]
         c, s = np.cos(angle), np.sin(angle)
-        rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
-        return np.matmul(rot, v[:, :, None])[:, :, 0]
+        r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1] = c, -s, s, c
+        return np.matmul(r, v[:, :, None])[:, :, 0]
 
     sub = dt / n_sub
     decay = np.exp(-sub / params.tau_v)
@@ -409,21 +473,35 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
         over = speed > params.v_max
         v_ref[over] *= (params.v_max / speed[over])[:, None]
         steer = actions[:, step, 3]
-        v_cmd = turn(steer, v_ref)
-        dyaw = np.clip(((steer + np.pi) % (2.0 * np.pi) - np.pi) * yaw_gain, -yaw_limit, yaw_limit)
-        for _ in range(n_sub):
-            prev = vel
-            vel = v_cmd + (vel - v_cmd) * decay
-            yaw = (yaw + dyaw + np.pi) % (2.0 * np.pi) - np.pi
-            pos = pos + sub * turn(yaw, vel)
-            if world is not None:
-                hit |= batch_min_clearance(world, pos) <= params.collision_radius
-                if hit.all():
-                    break
-        hits[:, step:] = hit[:, None]  # cumulative: later steps overwrite
-        if hit.all():
-            break
-    return hits, pos, yaw, vel, dyaw / sub, (v_cmd - prev) / params.tau_v
+        k = step * n_sub
+        v_cmd = v_cmds[k:k + n_sub] = turn(steer, v_ref)
+        dyaw = dyaws[k:k + n_sub] = np.clip(((steer + np.pi) % (2.0 * np.pi) - np.pi) * yaw_gain,
+                                            -yaw_limit, yaw_limit)
+        # velocity and yaw do not depend on the position: relax them through
+        # the interval, then turn all its substeps' velocities at once and
+        # sum the moves in flight order
+        for j in range(k, k + n_sub):
+            np.add(v_cmd, (vels[j] - v_cmd) * decay, out=vels[j + 1])
+            np.subtract((yaws[j] + dyaw + np.pi) % (2.0 * np.pi), np.pi, out=yaws[j + 1])
+        now = slice(k + 1, k + n_sub + 1)
+        moved = (sub * turn(yaws[now].ravel(), vels[now].reshape(-1, 3))).reshape(n_sub, m, 3)
+        moved[0] += pos
+        pos = np.add.accumulate(moved, axis=0, out=path[k:k + n_sub])[-1]
+    # hit's extra last row is all True, so argmax finds each row's first
+    # colliding substate, or t * n_sub for a row that never collides
+    hit = np.zeros((t * n_sub + 1, m), dtype=bool)
+    hit[-1] = True
+    if world is not None:
+        _path_hits(world, path, params.collision_radius, hit[:-1])
+    first = hit.argmax(axis=0)
+    hits = np.arange(t) >= (first // n_sub)[:, None]  # cumulative flags
+    # flat index of (the row's last substate flown, row) into the records
+    at = np.minimum(first, t * n_sub - 1) * m + np.arange(m)
+    pos = path.reshape(-1, 3).take(at, axis=0)
+    vel, prev = vels.reshape(-1, 3).take(at + m, axis=0), vels.reshape(-1, 3).take(at, axis=0)
+    v_cmd = v_cmds.reshape(-1, 3).take(at, axis=0)
+    return (hits, pos, yaws.take(at + m), vel, dyaws.take(at) / sub,
+            (v_cmd - prev) / params.tau_v)
 
 
 def _fly_one(world: World | None, state: RobotState, action, dt: float, n_sub: int,
@@ -449,8 +527,8 @@ def step_dynamics(state: RobotState, action: np.ndarray, dt: float,
 
 def step_with_collision(world: World, state: RobotState, action, dt: float,
                         params: DynamicsParams):
-    """Advance one control interval in SUBSTEPS steps, checking collision
-    after each.
+    """Advance one control interval in SUBSTEPS steps, collision-checking
+    every substate.
 
     Returns (new_state, collided).  On collision the state is the first
     colliding substate (the episode ends there anyway).

@@ -5,7 +5,7 @@ import pytest
 
 from depthnav.cli import main
 from depthnav.config import load_config
-from depthnav.errors import ConfigError
+from depthnav.errors import ConfigError, WorldError
 
 MICRO_INI = """\
 [run]
@@ -115,6 +115,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[vae]\nlatent_dmi = 32\n")
     with pytest.raises(ConfigError, match="latent_dmi"):
+        load_config(bad)
+
+
+@pytest.mark.parametrize("key,value", [("tau_v", "0"), ("tau_yaw", "-0.4"), ("omega_max", "nan"),
+                                       ("v_max", "inf"), ("collision_radius", "-0.1")])
+def test_config_rejects_bad_dynamics(tmp_path, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[dynamics]\n{key} = {value}\n")
+    with pytest.raises(WorldError, match=key):
         load_config(bad)
 
 

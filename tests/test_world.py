@@ -9,6 +9,7 @@ import pytest
 from depthnav.errors import WorldError
 from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
+    SUBSTEPS,
     DynamicsParams,
     RobotState,
     World,
@@ -21,6 +22,7 @@ from depthnav.world import (
     generate_world,
     hover_state,
     load_world,
+    min_clearance,
     paper_world_params,
     poisson_disc_sample,
     rollout_episode,
@@ -30,6 +32,7 @@ from depthnav.world import (
     step_with_collision,
     world_summary,
 )
+from depthnav.world import _fly
 
 
 class TestPoissonDisc:
@@ -253,8 +256,45 @@ class TestCollision:
                            for p in pts])
         assert np.allclose(batch, scalar, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        # a NaN clearance would read as free to every `<= radius` test
+        world = generate_world(desk_world_params("sparse", seed=1))
+        pts = np.array([[5.0, 7.0, 1.0], [6.0, 7.0, 1.0]])
+        pts[1, 2] = bad
+        with pytest.raises(WorldError, match="non-finite"):
+            batch_min_clearance(world, pts)
+        with pytest.raises(WorldError, match="non-finite"):
+            min_clearance(world, pts[1])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (2, 3, 3)])
+    def test_positions_not_shaped_n_by_3_rejected(self, shape):
+        world = generate_world(desk_world_params("sparse", seed=1))
+        with pytest.raises(WorldError, match=r"\(N, 3\)"):
+            batch_min_clearance(world, np.ones(shape))
+
+    def test_point_without_height_rejected(self):
+        world = generate_world(desk_world_params("sparse", seed=1))
+        with pytest.raises(WorldError, match=r"\(N, 3\)"):
+            min_clearance(world, np.array([5.0, 7.0]))
+
 
 class TestDynamics:
+    @pytest.mark.parametrize("field", ["tau_v", "tau_yaw", "omega_max", "v_max"])
+    @pytest.mark.parametrize("bad", [0.0, -0.3, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_rate_parameter_rejected(self, field, bad):
+        with pytest.raises(WorldError, match=field):
+            DynamicsParams(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_collision_radius_rejected(self, bad):
+        with pytest.raises(WorldError, match="collision_radius"):
+            DynamicsParams(collision_radius=bad)
+
+    def test_zero_collision_radius_is_a_point_vehicle(self):
+        params = DynamicsParams(collision_radius=0.0)
+        assert not check_collision(empty_world(), np.array([1.0, 1.0, 1e-9]), params.collision_radius)
+
     def test_equilibrium_action_only_advances_position(self):
         state = hover_state([0, 0, 1.0])
         state.velocity = np.array([0.8, 0.0, 0.0])
@@ -439,6 +479,157 @@ class TestStepWithCollision:
             start = RobotState(position=pos, yaw=0.0, velocity=vel)
             with np.errstate(invalid="ignore"), pytest.raises(WorldError):
                 step_with_collision(world, start, np.array([1.0, 0, 0, 0]), 0.25, DynamicsParams())
+
+
+def _reference(world, start, actions, dt=0.25, params=DynamicsParams()):
+    """Flags (M, T) and each row's state, flying every row alone one substep
+    at a time and testing every obstacle at every substate; a row's state is
+    its first colliding substate, or its last."""
+    sub = dt / SUBSTEPS
+    flags, states = [], []
+    for row in actions:
+        state, hit, row_flags = start, False, []
+        for action in row:
+            for _ in range(SUBSTEPS):
+                if not hit:
+                    state = step_dynamics(state, action, sub, params)
+                    hit = check_collision(world, state.position, params.collision_radius)
+            row_flags.append(hit)
+        flags.append(row_flags)
+        states.append(state)
+    return np.array(flags, dtype=bool).reshape(len(actions), actions.shape[1]), states
+
+
+def _fly_states(world, start, actions, dt=0.25, params=DynamicsParams()):
+    """_fly's flags and per-row (position, yaw, velocity, yaw_rate, roll, pitch),
+    for float64 actions as rollout_collision_matrix flies them."""
+    actions = np.asarray(actions, dtype=np.float64)
+    hits, pos, yaw, vel, rate, accel = _fly(world, start, actions, dt, SUBSTEPS, params)
+    roll, pitch = np.arctan2(-accel[:, 1], 9.81), np.arctan2(accel[:, 0], 9.81)
+    return hits, list(zip(pos, yaw, vel, rate, roll, pitch))
+
+
+STATE_FIELDS = ("position", "yaw", "velocity", "yaw_rate", "roll", "pitch")
+
+
+class TestPathCheck:
+    """rollout_collision_matrix and step_with_collision fly a whole path,
+    then cull the obstacles by each row's swept box before the exact test.
+    These compare them with every obstacle tested at every substep."""
+
+    START = RobotState(position=[2.0, 5.0, 1.5], yaw=0.0, velocity=[1.0, 0.0, 0.0])
+    STRAIGHT = np.tile([1.0, 0.0, 0.0, 0.0], (1, 10, 1))  # x advances 0.05 m per substep
+
+    def _assert_matches_reference(self, world, start, actions):
+        """Batched flags and states equal the reference and each row flown
+        alone; returns the flags."""
+        hits, states = _fly_states(world, start, actions)
+        want_hits, want_states = _reference(world, start, actions)
+        assert np.array_equal(hits, want_hits)
+        assert np.array_equal(rollout_collision_matrix(world, start, actions, 0.25), want_hits)
+        for i, (got, want) in enumerate(zip(states, want_states)):
+            alone_hits, (alone,) = _fly_states(world, start, actions[i:i + 1])
+            assert np.array_equal(alone_hits[0], hits[i])
+            for a, b, c, field in zip(got, alone, [getattr(want, f) for f in STATE_FIELDS],
+                                      STATE_FIELDS):
+                assert np.array_equal(a, b), field
+                assert np.array_equal(a, c), field
+        return hits
+
+    @staticmethod
+    def _substate_x(k):
+        """x of substate k on the STRAIGHT path (exact: nothing but x moves)."""
+        state = TestPathCheck.START
+        for _ in range(k + 1):
+            state = step_dynamics(state, TestPathCheck.STRAIGHT[0, 0], 0.25 / SUBSTEPS)
+        assert state.position[1] == 5.0 and state.position[2] == 1.5
+        return state.position[0]
+
+    def _with_rows_beside(self, row):
+        """The row, plus rows steering off to either side, in one batch."""
+        others = np.tile([1.0, 0.0, 0.0, 0.0], (4, 10, 1))
+        others[:, :, 3] = [[-0.6], [-0.3], [0.3], [0.6]]
+        return np.concatenate([row, others])
+
+    @pytest.mark.parametrize("rod", [0.5, 0.02])
+    @pytest.mark.parametrize("slack", [-1e-9, 1e-9])
+    def test_grazing_a_cylinder_side_at_the_radius(self, rod, slack):
+        # the footprint circle of the obstacle, widened by the collision
+        # radius, just reaches the row's box: cull it by centre alone, or
+        # without the collision radius, and the touch goes unseen
+        r = DynamicsParams().collision_radius
+        x = self._substate_x(12)  # interval 2
+        world = World([[x, 5.0 + rod + r + slack, rod, 3.0, 0.0]], np.zeros((0, 7)),
+                      (0, 0, 20, 10), 4.0)
+        hits = self._assert_matches_reference(world, self.START, self._with_rows_beside(self.STRAIGHT))
+        want = [0, 0] + [1] * 8 if slack < 0 else [0] * 10
+        assert hits[0].tolist() == want
+
+    @pytest.mark.parametrize("slack", [-1e-9, 1e-9])
+    def test_grazing_the_corner_of_a_rotated_box(self, slack):
+        r = DynamicsParams().collision_radius
+        ex, ey = 0.3, 0.1
+        yaw = -np.pi / 2 - math.atan2(ey, ex)  # the (ex, ey) corner points at -y
+        x = self._substate_x(27)  # interval 5
+        box = [x, 5.0 + math.hypot(ex, ey) + r + slack, ex, ey, yaw, 3.0, 0.0]
+        world = World(np.zeros((0, 5)), [box], (0, 0, 20, 10), 4.0)
+        hits = self._assert_matches_reference(world, self.START, self._with_rows_beside(self.STRAIGHT))
+        assert hits[0].tolist() == ([0] * 5 + [1] * 5 if slack < 0 else [0] * 10)
+
+    @pytest.mark.parametrize("slack", [-1e-9, 1e-9])
+    def test_passing_over_a_short_cylinder_top(self, slack):
+        r = DynamicsParams().collision_radius
+        height = 1.5 - r - slack
+        world = World([[self._substate_x(30), 5.0, 0.2, height, 0.0]], np.zeros((0, 7)),
+                      (0, 0, 20, 10), 4.0)
+        hits = self._assert_matches_reference(world, self.START, self._with_rows_beside(self.STRAIGHT))
+        assert hits[0].any() == (slack < 0)
+
+    @pytest.mark.parametrize("z,slack", [(0.3, -1e-9), (0.3, 1e-9), (3.7, 1e-9), (3.7, -1e-9)])
+    def test_ground_and_ceiling_contacts(self, z, slack):
+        # level flight at the radius above the ground or below the ceiling,
+        # with the only obstacle far away
+        z = z + slack if z < 2.0 else z - slack
+        start = RobotState(position=[2.0, 5.0, z], yaw=0.0, velocity=[1.0, 0.0, 0.0])
+        world = World([[15.0, 5.0, 0.3, 3.0, 0.0]], np.zeros((0, 7)), (0, 0, 20, 10), 4.0)
+        hits = self._assert_matches_reference(world, start, self._with_rows_beside(self.STRAIGHT))
+        assert hits.all() if slack < 0 else not hits.any()
+
+    def test_climbing_and_descending_into_ceiling_and_ground(self):
+        world = generate_world(desk_world_params("sparse", seed=2))
+        start = RobotState(position=[1.0, 7.5, 2.0], yaw=0.1, velocity=[0.5, 0.0, 0.0])
+        actions = np.zeros((6, 10, 4))
+        actions[:, :, 0] = 0.6
+        actions[:, :, 2] = [[-1.4], [-0.9], [-0.4], [0.4], [0.9], [1.4]]
+        hits = self._assert_matches_reference(world, start, actions)
+        assert hits[[0, 1, 4, 5], -1].all()
+
+    def test_rows_that_all_collide_in_the_first_interval(self):
+        # every row hits a wall in the first interval, where flying used to
+        # stop early; each row still returns its own first colliding substate
+        r = DynamicsParams().collision_radius
+        wall = [2.0 + r + 0.06, 5.0, 0.05, 4.0, 0.0, 4.0, 0.0]
+        world = World(np.zeros((0, 5)), [wall], (0, 0, 20, 10), 4.0)
+        start = RobotState(position=[2.0, 5.0, 1.5], yaw=0.0, velocity=[1.5, 0.0, 0.0])
+        actions = build_library(LibraryConfig()).actions
+        hits = self._assert_matches_reference(world, start, actions)
+        assert hits.all()
+
+    def test_no_rows_and_the_empty_world(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        flags = rollout_collision_matrix(world, self.START, np.zeros((0, 10, 4)), 0.25)
+        assert flags.shape == (0, 10) and flags.dtype == np.uint8
+        actions = build_library(LibraryConfig()).actions
+        assert not self._assert_matches_reference(empty_world(), self.START, actions).any()
+
+    def test_batched_rows_match_rows_flown_alone_in_a_dense_world(self):
+        world = generate_world(desk_world_params("dense", seed=5))
+        rng = np.random.default_rng(12)
+        for pos, yaw in [([19.0, 10.5, 1.2], 0.3), ([31.0, 7.5, 1.0], -2.9)]:
+            start = RobotState(position=pos, yaw=yaw, velocity=[2.0, -0.4, 0.1])
+            actions = rng.uniform(-1, 1, (12, 10, 4)) * np.array([2.5, 0.5, 0.2, 0.8])
+            hits = self._assert_matches_reference(world, start, actions)
+            assert 0 < hits[:, -1].sum() < len(actions)
 
 
 class TestRollout:
