@@ -9,6 +9,7 @@ import pytest
 from depthnav.errors import WorldError
 from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
+    GRAVITY,
     SUBSTEPS,
     DynamicsParams,
     RobotState,
@@ -505,7 +506,7 @@ def _fly_states(world, start, actions, dt=0.25, params=DynamicsParams()):
     for float64 actions as rollout_collision_matrix flies them."""
     actions = np.asarray(actions, dtype=np.float64)
     hits, pos, yaw, vel, rate, accel = _fly(world, start, actions, dt, SUBSTEPS, params)
-    roll, pitch = np.arctan2(-accel[:, 1], 9.81), np.arctan2(accel[:, 0], 9.81)
+    roll, pitch = np.arctan2(-accel[:, 1], GRAVITY), np.arctan2(accel[:, 0], GRAVITY)
     return hits, list(zip(pos, yaw, vel, rate, roll, pitch))
 
 
