@@ -148,7 +148,7 @@ class CollisionPredictor(Model):
         it the pass leaves no cache behind.
         """
         cfg = self.cfg
-        pe = self.perception.forward(self._perception_input(perception))
+        pe = self.perception.forward(self._perception_input(perception), keep=keep)
         n, t = actions.shape[:2]
         s = m = 1  # how many tiled rows one row stands for, per state and per sequence
         if library:
@@ -187,12 +187,12 @@ class CollisionPredictor(Model):
         dae = np.empty((b, t, self.cfg.action_embed), dtype=dlogits.dtype)
         for i in range(t - 1, -1, -1):
             dae[:, i], carry = self.gru.backward(dhs[:, i] + carry)
-        self.action_emb.backward(dae.reshape(b * t, self.cfg.action_embed))
+        self.action_emb.backward(dae.reshape(b * t, self.cfg.action_embed), input_grad=False)
         dh0 = self.h0_net.backward(carry)
         dpe = dh0[:, : self.cfg.perception_embed]
         dse = dh0[:, self.cfg.perception_embed :]
-        self.state_emb.backward(dse)
-        self.perception.backward(dpe)
+        self.state_emb.backward(dse, input_grad=False)
+        self.perception.backward(dpe, input_grad=False)
 
     # -- inference --------------------------------------------------------------
     def predict(self, perception, state, actions) -> np.ndarray:

@@ -9,6 +9,8 @@ general autodiff tape: every backward pass below is hand-derived.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -85,8 +87,15 @@ class Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients from dy and return the input
+        gradient; without input_grad (a first layer's input needs none),
+        return None."""
         raise NotImplementedError
+
+    def drop_cache(self) -> None:
+        """Free the forward intermediates kept for backward."""
+        self._cache = None
 
     def _take_cache(self):
         if self._cache is None:
@@ -95,46 +104,129 @@ class Layer:
         return cache
 
 
-def _tap_span(tap: int, pad: int, stride: int, size: int, out: int) -> tuple[slice, slice]:
-    """For one kernel tap along one axis: the output positions o whose input
-    index o*stride + tap - pad lies in [0, size), and those input indices."""
-    lo = max(0, (pad - tap + stride - 1) // stride)
-    hi = max(lo, min(out, (size - 1 - tap + pad) // stride + 1))
+def _tap_span(tap: int, pad: int, stride: int, size: int, lo: int, hi: int) -> tuple[slice, slice]:
+    """For one kernel tap along one axis: the output positions o in [lo, hi)
+    whose input index o*stride + tap - pad lies in [0, size), and those input
+    indices."""
+    lo = max(lo, (pad - tap + stride - 1) // stride)
+    hi = max(lo, min(hi, (size - 1 - tap + pad) // stride + 1))
     return slice(lo, hi), slice(lo * stride + tap - pad, hi * stride + tap - pad, stride)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Unfold (N,C,H,W) into patch columns of shape (N, C*kh*kw, Ho*Wo)."""
-    n, c, h, w = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+@functools.lru_cache(maxsize=64)
+def _phase_plan(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
+    """The stride-phase lowering of one conv geometry (see _im2col).
+
+    Returns ho, wo, the plane rows, and four index lists: `phases` pairs
+    the x entries of each phase plane with the plane's entries; `taps`
+    gives each tap (i, j) its plane (p, q), the span of its Ho*Wo flat
+    columns whose shifted span lies in the plane, and that shifted span;
+    `edges` gives, per kernel column j with b != 0, the output columns the
+    shift carries across a row edge; `tails` lists, in (i, j) order, the
+    edge entries (oy, ox) that lie on x and their input rows and columns.
+    """
+    ho, wo = conv_out_hw((h, w), (kh, kw), stride, pad)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv: kernel {kh}x{kw} larger than padded input {h}x{w}")
-    # Taps on the zero border keep np.zeros' zeros, so no padded copy of x
-    # (np.pad) is built; each tap copies only its in-bounds window.
-    cols = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    a0 = -pad // stride
+    rows = ho + (kh - 1 - pad) // stride - a0
+    phases = []
+    for p in range(stride):
+        hh = min((h - p + stride - 1) // stride, rows + a0)
+        for q in range(stride):
+            ww = min((w - q + stride - 1) // stride, wo)
+            if hh > 0 and ww > 0:
+                phases.append(((slice(None), slice(None), slice(p, p + stride * hh, stride),
+                                slice(q, q + stride * ww, stride)),
+                               (p, q, slice(None), slice(None), slice(-a0, hh - a0), slice(0, ww))))
+
+    def edge(b):  # the output columns that a flat shift by b carries across a row edge
+        return slice(0, min(-b, wo)) if b < 0 else slice(max(wo - b, 0), wo)
+
+    edges = [(j, edge((j - pad) // stride)) for j in range(kw) if (j - pad) // stride]
+    taps, tails = [], []
     for i in range(kh):
-        rows_out, rows_in = _tap_span(i, pad, stride, h, ho)
+        a, p = divmod(i - pad, stride)
+        oy, iy = _tap_span(i, pad, stride, h, 0, ho)
         for j in range(kw):
-            cols_out, cols_in = _tap_span(j, pad, stride, w, wo)
-            cols[:, :, i, j, rows_out, cols_out] = x[:, :, rows_in, cols_in]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+            b, q = divmod(j - pad, stride)
+            shift = (a - a0) * wo + b
+            lo = min(max(-shift, 0), ho * wo)
+            hi = max(min(rows * wo - shift, ho * wo), lo)
+            taps.append((i, j, p, q, slice(lo, hi), slice(lo + shift, hi + shift)))
+            cut = edge(b)
+            ox, ix = _tap_span(j, pad, stride, w, cut.start, cut.stop)
+            if ox.start < ox.stop and oy.start < oy.stop:
+                tails.append((i, j, oy, ox, iy, ix))
+    return ho, wo, rows, phases, taps, edges, tails
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Unfold (N,C,H,W) into patch columns of shape (N, C*kh*kw, Ho*Wo).
+
+    Tap (i, j) of output (oy, ox) reads x[s*oy + i - pad, s*ox + j - pad].
+    With i - pad = s*a + p and j - pad = s*b + q (0 <= p, q < s) that is
+    x[s*(oy + a) + p, s*(ox + b) + q], entry (oy + a, ox + b) of the
+    stride-phase plane (p, q).  s*s strided copies cut the planes from x
+    into zeroed buffers Wo columns wide that hold x[s*u + p, s*v + q] at
+    row u - a0 and column v, where a0 = floor(-pad / s) makes room for the
+    padding rows.  Each tap is then one flat contiguous copy per (n, c)
+    plane at the flat shift (a - a0)*Wo + b.
+
+    A shift by b != 0 carries the tap's |b| edge columns across a row edge
+    (or past the buffer), so those entries are rewritten: zeroed, then
+    copied from x where they lie on it.  For b < 0 they lie left of x.  For
+    b > 0 they start at column s*Wo + q >= W whenever pad = k // 2 for an
+    odd k, as in every layer, so they stay zeros; only a smaller pad
+    reaches x there.
+    """
+    n, c, h, w = x.shape
+    ho, wo, rows, phases, taps, edges, tails = _phase_plan(h, w, kh, kw, stride, pad)
+    planes = np.zeros((stride, stride, n, c, rows, wo), dtype=x.dtype)
+    for x_idx, plane_idx in phases:
+        planes[plane_idx] = x[x_idx]
+    flat = planes.reshape(stride, stride, n, c, rows * wo)
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    cols5 = cols.reshape(n, c, kh, kw, ho * wo)
+    for i, j, p, q, span, shifted in taps:
+        cols5[:, :, i, j, span] = flat[p, q, :, :, shifted]
+    for j, edge in edges:
+        cols[:, :, :, j, :, edge] = 0
+    for i, j, oy, ox, iy, ix in tails:
+        cols[:, :, i, j, oy, ox] = x[:, :, iy, ix]
+    return cols5.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: fold patch columns back, summing overlaps."""
+    """Adjoint of _im2col: fold patch columns back, summing overlaps.
+    `cols` is overwritten.
+
+    Each tap adds into its stride-phase plane at the shift that _im2col
+    reads it from, by one flat contiguous add per (n, c) plane, into zeroed
+    planes and in (i, j) order; s*s strided copies then move the planes
+    into x.  Before that, each tap's edge columns (see _im2col) are added
+    into x where they lie on it (only for pad < k // 2, and then right of
+    every plane's last column) and zeroed in `cols`.  So every element of x
+    receives its taps' values through the same IEEE additions, in the same
+    order, as a zeroed padded buffer would.  The zeroed edge entries add
+    +0.0 to other elements; a sum that starts at +0.0 is never -0.0, so
+    those additions change no bit.
+    """
     n, c, h, w = x_shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = cols.shape[2] // ho
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    # No padded buffer (as np.pad would need): every element sums its in-bounds
-    # taps in the same order, and border taps only ever reached the padding.
+    ho, wo, rows, phases, taps, edges, tails = _phase_plan(h, w, kh, kw, stride, pad)
+    cols5 = cols.reshape(n, c, kh, kw, ho * wo)
+    cols = cols5.reshape(n, c, kh, kw, ho, wo)
     x = np.zeros(x_shape, dtype=cols.dtype)
-    for i in range(kh):
-        rows_out, rows_in = _tap_span(i, pad, stride, h, ho)
-        for j in range(kw):
-            cols_out, cols_in = _tap_span(j, pad, stride, w, wo)
-            x[:, :, rows_in, cols_in] += cols6[:, :, i, j, rows_out, cols_out]
+    for i, j, oy, ox, iy, ix in tails:
+        x[:, :, iy, ix] += cols[:, :, i, j, oy, ox]
+    for j, edge in edges:
+        cols[:, :, :, j, :, edge] = 0
+    flat = np.zeros((stride, stride, n, c, rows * wo), dtype=cols.dtype)
+    for i, j, p, q, span, shifted in taps:
+        flat[p, q, :, :, shifted] += cols5[:, :, i, j, span]
+    planes = flat.reshape(stride, stride, n, c, rows, wo)
+    for x_idx, plane_idx in phases:
+        x[x_idx] = planes[plane_idx]
     return x
 
 
@@ -144,8 +236,25 @@ def conv_out_hw(hw, kernel, stride, pad):
     return ((h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1)
 
 
+def _conv_geometry(name: str, kernel, stride) -> tuple[tuple[int, int], int, int]:
+    """(kernel, stride, pad) of a conv layer.  ShapeError unless the stride
+    is an integer >= 1 and the kernel odd and square, so that pad = k // 2
+    keeps every stride-1 conv "same"."""
+    def is_int(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if not (is_int(stride) and stride >= 1):
+        raise ShapeError(f"{name}: stride must be an integer >= 1, got {stride!r}")
+    kernel = tuple(kernel)
+    if not (len(kernel) == 2 and all(map(is_int, kernel)) and kernel[0] == kernel[1]
+            and kernel[0] >= 1 and kernel[0] % 2 == 1):
+        raise ShapeError(f"{name}: kernel must be odd and square, got {kernel!r}")
+    k = int(kernel[0])
+    return (k, k), int(stride), k // 2
+
+
 class Conv2d(Layer):
-    """Strided 2D convolution with zero padding (pad = k//2, "same" at stride 1)."""
+    """Strided 2D convolution, odd square kernel k, zero padding k//2 ("same" at stride 1)."""
 
     kind = "conv"
 
@@ -153,9 +262,7 @@ class Conv2d(Layer):
         super().__init__(dtype)
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel = tuple(kernel)
-        self.stride = stride
-        self.pad = self.kernel[0] // 2
+        self.kernel, self.stride, self.pad = _conv_geometry(name, kernel, stride)
         fan_in = in_ch * self.kernel[0] * self.kernel[1]
         scale = np.sqrt(2.0 / fan_in)
         rng = rng or np.random.default_rng(0)
@@ -177,15 +284,17 @@ class Conv2d(Layer):
         self._cache = (x.shape, cols)
         return np.ascontiguousarray(y.reshape(x.shape[0], self.out_ch, ho, wo))
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x_shape, cols = self._take_cache()
         n = dy.shape[0]
         dy_mat = dy.reshape(n, self.out_ch, -1)
-        w_mat = self.params["weight"].reshape(self.out_ch, -1)
         self.grads["weight"] += np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.params["weight"].shape
         )
         self.grads["bias"] += dy_mat.sum(axis=(0, 2))
+        if not input_grad:
+            return None
+        w_mat = self.params["weight"].reshape(self.out_ch, -1)
         dcols = np.matmul(w_mat.T[None], dy_mat)
         kh, kw = self.kernel
         return _col2im(dcols, x_shape, kh, kw, self.stride, self.pad)
@@ -201,9 +310,7 @@ class Deconv2d(Layer):
         super().__init__(dtype)
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel = tuple(kernel)
-        self.stride = stride
-        self.pad = self.kernel[0] // 2
+        self.kernel, self.stride, self.pad = _conv_geometry(name, kernel, stride)
         self.out_hw = tuple(out_hw)
         fan_in = in_ch * self.kernel[0] * self.kernel[1]
         scale = np.sqrt(2.0 / fan_in)
@@ -239,19 +346,20 @@ class Deconv2d(Layer):
         self._cache = (x,)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         (x,) = self._take_cache()
         n = x.shape[0]
         kh, kw = self.kernel
         cols_dy, ho, wo = _im2col(dy, kh, kw, self.stride, self.pad)
-        w_mat = self.params["weight"].reshape(self.in_ch, -1)
-        dx = np.matmul(w_mat[None], cols_dy).reshape(x.shape)
         x_mat = x.reshape(n, self.in_ch, -1)
         self.grads["weight"] += np.matmul(x_mat, cols_dy.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.params["weight"].shape
         )
         self.grads["bias"] += dy.sum(axis=(0, 2, 3))
-        return dx
+        if not input_grad:
+            return None
+        w_mat = self.params["weight"].reshape(self.in_ch, -1)
+        return np.matmul(w_mat[None], cols_dy).reshape(x.shape)
 
 
 class Dense(Layer):
@@ -276,11 +384,11 @@ class Dense(Layer):
         self._cache = (x,)
         return x @ self.params["weight"] + self.params["bias"]
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         (x,) = self._take_cache()
         self.grads["weight"] += x.T @ dy
         self.grads["bias"] += dy.sum(axis=0)
-        return dy @ self.params["weight"].T
+        return dy @ self.params["weight"].T if input_grad else None
 
 
 class Activation(Layer):
@@ -299,6 +407,10 @@ class Activation(Layer):
         self.name = name or fn
         self.last_input = None  # input of the latest lrelu forward, for lrelu_fingerprint
 
+    def drop_cache(self):
+        super().drop_cache()
+        self.last_input = None
+
     def forward(self, x):
         if self.fn == "lrelu":
             y = leaky_relu(x, self.slope)
@@ -312,8 +424,10 @@ class Activation(Layer):
         self._cache = (x, y)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x, y = self._take_cache()
+        if not input_grad:
+            return None
         if self.fn == "lrelu":
             return dy * _lrelu_factor(x, self.slope, dy.dtype)
         if self.fn == "sigmoid":
@@ -334,9 +448,9 @@ class Flatten(Layer):
         self._cache = (x.shape,)
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         (shape,) = self._take_cache()
-        return dy.reshape(shape)
+        return dy.reshape(shape) if input_grad else None
 
 
 class Reshape(Layer):
@@ -353,9 +467,9 @@ class Reshape(Layer):
         self._cache = (x.shape,)
         return x.reshape(x.shape[0], *self.target)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         (shape,) = self._take_cache()
-        return dy.reshape(shape)
+        return dy.reshape(shape) if input_grad else None
 
 
 class GRUCell(Layer):
@@ -452,15 +566,23 @@ class Sequential:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
+        """Run every layer; without keep each layer's cache is dropped as soon
+        as the next layer has its input, so a pass that no backward follows
+        holds no intermediates and reuses freed memory as it goes."""
         for layer in self.layers:
             x = layer.forward(x)
+            if not keep:
+                layer.drop_cache()
         return x
 
-    def backward(self, dy):
-        for layer in reversed(self.layers):
+    def backward(self, dy, input_grad=True):
+        """Backpropagate dy through every layer; without input_grad the first
+        layer only accumulates its parameter gradients and None is returned."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        return first.backward(dy, input_grad)
 
 
 def lrelu_fingerprint(layers) -> np.ndarray:

@@ -49,10 +49,10 @@ class Model:
             layer.zero_grad()
 
     def drop_caches(self) -> None:
-        """Free every layer's forward intermediates after a pass that no
-        backward pass follows."""
+        """Free every layer's forward intermediates, and each lrelu's last
+        input, after a pass that no backward pass follows."""
         for layer in self._layers:
-            layer._cache = None
+            layer.drop_cache()
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         entries = {f"{layer.name}.{key}": Entry(layer.kind, layer.stride, arr)

@@ -183,9 +183,10 @@ class SemanticVae(Model):
     def encode_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x: (N, H, W) normalized depth with invalid pixels already zeroed."""
         self._check_hw(x)
-        h = self.encoder.forward(np.ascontiguousarray(x[:, None], dtype=np.float32))
+        h = self.encoder.forward(np.ascontiguousarray(x[:, None], dtype=np.float32), keep=False)
         mu = self.mu_head.forward(h)
         logvar = np.clip(self.logvar_head.forward(h), -LOGVAR_CLAMP, LOGVAR_CLAMP)
+        self.drop_caches()
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
             raise TrainingError("encoder produced non-finite latent")
         return mu, logvar
@@ -201,7 +202,7 @@ class SemanticVae(Model):
             raise ShapeError(f"decode: expected (N, {self.cfg.latent_dim}), got {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ShapeError("decode: non-finite latent")
-        return self.decoder.forward(z)[:, 0]
+        return self.decoder.forward(z, keep=False)[:, 0]
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.decode_batch(np.asarray(z, dtype=np.float32)[None])[0]
@@ -243,7 +244,7 @@ class SemanticVae(Model):
         dlogvar = dlogvar_z + scale * dt.type(0.5) * (np.exp(logvar) - 1.0) * inside
         dh = self.mu_head.backward(dmu.astype(dt, copy=False))
         dh += self.logvar_head.backward(dlogvar.astype(dt, copy=False))
-        self.encoder.backward(dh)
+        self.encoder.backward(dh, input_grad=False)
         return total, recon_mean, kl_mean
 
 

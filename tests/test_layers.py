@@ -72,6 +72,27 @@ def test_backward_before_forward_rejected():
         layer.backward(np.zeros((1, 3), np.float32))
 
 
+@pytest.mark.parametrize("cls", [Conv2d, Deconv2d])
+@pytest.mark.parametrize("kernel,stride", [
+    pytest.param((3, 3), 0, id="stride-0"),
+    pytest.param((3, 3), -1, id="stride-negative"),
+    pytest.param((3, 3), 1.5, id="stride-fraction"),
+    pytest.param((3, 3), True, id="stride-bool"),
+    pytest.param((0, 0), 1, id="kernel-0x0"),
+    pytest.param((2, 2), 1, id="kernel-even"),
+    pytest.param((3, 5), 1, id="kernel-not-square"),
+])
+def test_conv_layers_reject_bad_geometry_at_construction(cls, kernel, stride):
+    extra = {"out_hw": (6, 6)} if cls is Deconv2d else {}
+    with pytest.raises(ShapeError, match="stride|kernel"):
+        cls(1, 2, kernel=kernel, stride=stride, **extra)
+
+
+def test_odd_kernel_conv_is_same_at_numpy_integer_stride_one():
+    layer = Conv2d(1, 2, kernel=(5, 5), stride=np.int64(1))
+    assert layer.forward(np.ones((1, 1, 6, 6), np.float32)).shape == (1, 2, 6, 6)
+
+
 def test_conv_then_matched_deconv_restores_spatial_dims():
     rng = np.random.default_rng(0)
     for hw in [(60, 80), (15, 20), (7, 9), (5, 5)]:
@@ -90,6 +111,31 @@ def test_forward_is_deterministic():
                       Activation("lrelu", name="a"), Flatten(name="f")])
     x = rng.standard_normal((2, 1, 10, 12)).astype(np.float32)
     assert np.array_equal(net.forward(x), net.forward(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("first", ["conv", "dense"])
+def test_backward_without_input_grad_keeps_parameter_gradients(first, dtype):
+    rng = np.random.default_rng(6)
+    if first == "conv":
+        layers = [Conv2d(2, 3, (3, 3), 2, rng=rng, dtype=dtype), Activation("lrelu", dtype=dtype),
+                  Flatten(dtype=dtype), Dense(3 * 4 * 5, 4, rng=rng, dtype=dtype)]
+        x = rng.standard_normal((5, 2, 8, 9)).astype(dtype)
+    else:
+        layers = [Dense(6, 7, rng=rng, dtype=dtype), Activation("tanh", dtype=dtype),
+                  Dense(7, 4, rng=rng, dtype=dtype)]
+        x = rng.standard_normal((5, 6)).astype(dtype)
+    net = Sequential(layers)
+    dy = rng.standard_normal((5, 4)).astype(dtype)
+    grads = []
+    for input_grad in (True, False):
+        for layer in layers:
+            layer.zero_grad()
+        net.forward(x)
+        dx = net.backward(dy, input_grad=input_grad)
+        assert (dx is None) == (not input_grad)
+        grads.append([g.tobytes() for layer in layers for g in layer.grads.values()])
+    assert grads[0] == grads[1]
 
 
 def _loss_grads(layer, x, probe):
@@ -331,20 +377,26 @@ def _padded_col2im(cols, x_shape, kh, kw, stride, pad):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("hw", [(7, 9), (8, 10), (5, 6), (2, 3), (1, 1)])
 def test_unfold_and_fold_bit_identical_to_padded_reference(dtype, k, stride, hw):
+    # stride 3 leaves some phase planes without a tap when k is 1 or 3
     rng = np.random.default_rng(k * 10 + stride)
-    x = rng.normal(size=(3, 2, *hw)).astype(dtype)
-    for pad in sorted({0, k // 2}):
-        if min(hw) + 2 * pad < k:
-            with pytest.raises(ShapeError):
-                _im2col(x, k, k, stride, pad)
-            continue
-        cols, ho, wo = _im2col(x, k, k, stride, pad)
-        assert (ho, wo) == conv_out_hw(hw, (k, k), stride, pad)
-        assert cols.dtype == dtype and cols.tobytes() == _padded_im2col(x, k, k, stride, pad).tobytes()
-        dcols = rng.normal(size=cols.shape).astype(dtype)
-        folded = _col2im(dcols, x.shape, k, k, stride, pad)
-        ref = _padded_col2im(dcols, x.shape, k, k, stride, pad)
-        assert folded.shape == x.shape and folded.tobytes() == ref.tobytes()
+    for nc in [(3, 2), (8, 5)]:
+        x = rng.normal(size=(*nc, *hw)).astype(dtype)
+        x.flat[::3] = -0.0
+        for pad in sorted({0, k // 2}):
+            if min(hw) + 2 * pad < k:
+                with pytest.raises(ShapeError):
+                    _im2col(x, k, k, stride, pad)
+                continue
+            cols, ho, wo = _im2col(x, k, k, stride, pad)
+            assert (ho, wo) == conv_out_hw(hw, (k, k), stride, pad)
+            ref_cols = _padded_im2col(x, k, k, stride, pad)
+            assert np.signbit(ref_cols[ref_cols == 0]).any()  # the sign bit must be copied
+            assert cols.dtype == dtype and cols.tobytes() == ref_cols.tobytes()
+            dcols = rng.normal(size=cols.shape).astype(dtype)
+            dcols.flat[::3] = -0.0
+            ref = _padded_col2im(dcols, x.shape, k, k, stride, pad)
+            folded = _col2im(dcols.copy(), x.shape, k, k, stride, pad)  # it overwrites cols
+            assert folded.shape == x.shape and folded.tobytes() == ref.tobytes()

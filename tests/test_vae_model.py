@@ -72,6 +72,15 @@ def test_decode_of_encode_mu_keeps_frame_shape():
     assert out.shape == frames.frame(0).shape
 
 
+def test_inference_leaves_no_cache():
+    model = SemanticVae(TINY, seed=4)
+    frames = _toy_frames(3)
+    for run in (lambda: model.encode_batch(frames.x), lambda: model.decode_batch(np.zeros((3, 4)))):
+        run()
+        assert all(layer._cache is None for layer in model.layers())
+        assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
+
+
 def test_full_loss_gradients_pass_finite_differences():
     cfg = TINY
     rng = np.random.default_rng(7)
