@@ -109,6 +109,9 @@ def load_config(path=None) -> AppConfig:
     if env not in ("sparse", "medium", "dense"):
         raise ConfigError(f"[run] environment must be sparse/medium/dense, got {env!r}")
     dt = _get(parser, "run", "dt", float, cfg.dt)
+    horizon = _get(parser, "dataset", "horizon", int, cfg.dataset.horizon)
+    if horizon < 1:
+        raise ConfigError(f"[dataset] horizon must be >= 1, got {horizon}")
 
     paper = scale == "paper"
     cam_default = paper_camera() if paper else CameraModel()
@@ -162,7 +165,7 @@ def load_config(path=None) -> AppConfig:
         speeds=(_get(parser, "planner", "speed", float, cfg.library.speeds[0]),),
         fov_h=camera.fov_h,
         fov_v=camera.fov_v,
-        horizon=_get(parser, "dataset", "horizon", int, cfg.dataset.horizon),
+        horizon=horizon,
         fov_margin=_get(parser, "planner", "fov_margin", float, cfg.library.fov_margin),
     )
     train = TrainSettings(
@@ -177,7 +180,7 @@ def load_config(path=None) -> AppConfig:
     dataset = DatasetSettings(
         vae_frames=_get(parser, "dataset", "vae_frames", int, cfg.dataset.vae_frames),
         episodes=_get(parser, "dataset", "episodes", int, cfg.dataset.episodes),
-        horizon=_get(parser, "dataset", "horizon", int, cfg.dataset.horizon),
+        horizon=horizon,
         max_steps=_get(parser, "dataset", "max_steps", int, cfg.dataset.max_steps),
     )
     env_list = tuple(_get(parser, "campaign", "environments", str,

@@ -53,6 +53,7 @@ from .nn import (
 
 MODULAR = "modular"
 END_TO_END = "end-to-end"
+POS_WEIGHT_CAP = 10.0  # upper bound on the positive-class weight a split sets
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def _dataset_views(ds, variant):
 
 
 def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
-              batch_size: int = 128, split_ratio: float = 0.8, pos_weight_cap: float = 10.0,
+              batch_size: int = 128, split_ratio: float = 0.8,
               out_dir=None, log_every: int = 0) -> tuple[CollisionPredictor, list[CpnEpochStats]]:
     """Train a predictor on d' (modular) or d (end-to-end) datapoints.
 
@@ -322,7 +323,7 @@ def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
     def weigh_positives(tr):  # the training split's class balance sets pos_weight
         y_train = labels[rows(tr)]
         n_pos = max(1, int((y_train > 0).sum()))
-        meta["pos_weight"] = float(min(pos_weight_cap, max(1.0, (y_train.size - n_pos) / n_pos)))
+        meta["pos_weight"] = float(min(POS_WEIGHT_CAP, max(1.0, (y_train.size - n_pos) / n_pos)))
 
     def batch_loss(model, idx):
         idx = rows(idx)

@@ -145,7 +145,7 @@ class CollisionDatapoint:
 # Episode labeling and augmentation
 # ---------------------------------------------------------------------------
 
-def label_episode(episode: CollisionEpisode, horizon: int, stride: int = 1) -> CollisionSet:
+def label_episode(episode: CollisionEpisode, horizon: int) -> CollisionSet:
     """Sliding-window datapoints: label i is 1 iff a collision happened at or
     before the i-th step after the window start.
 
@@ -157,10 +157,10 @@ def label_episode(episode: CollisionEpisode, horizon: int, stride: int = 1) -> C
     if length < 1:
         raise DatasetError("episode shorter than 1 step")
     if episode.ended_in_collision:
-        starts = range(0, length, stride)
+        starts = range(length)
         all_actions = np.concatenate([episode.actions, episode.extra_actions])
     else:
-        starts = range(0, length - horizon + 1, stride)
+        starts = range(length - horizon + 1)
         all_actions = episode.actions
     cum = np.cumsum(episode.collided) > 0  # collided at or before step i
     frames, states, actions, labels = [], [], [], []

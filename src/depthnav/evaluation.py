@@ -34,11 +34,11 @@ from .world import (
     DynamicsParams,
     RobotState,
     World,
+    batch_min_clearance,
     check_collision,
     desk_world_params,
     find_free_start,
     generate_world,
-    min_clearance,
     rollout_collision_matrix,
     rot_z,
     step_with_collision,
@@ -81,7 +81,6 @@ class SimVehicle:
         self._state = start
         self._cycle = 0
         self._path = [start.position.copy()]
-        self._min_clear = min_clearance(world, start.position)
         self._outcome: str | None = None
 
     # planner-facing ---------------------------------------------------------
@@ -101,7 +100,6 @@ class SimVehicle:
                                                self.dt, self.dynamics)
         self._cycle += 1
         self._path.append(self._state.position.copy())
-        self._min_clear = min(self._min_clear, min_clearance(self.world, self._state.position))
         if hit:
             self._outcome = "collision"
         elif self._state.position[0] >= self.course_length:
@@ -117,7 +115,7 @@ class SimVehicle:
         return {
             "path": path,
             "distance": float(path[-1, 0] - path[0, 0]),
-            "min_clearance": float(self._min_clear),
+            "min_clearance": float(batch_min_clearance(self.world, path).min()),
             "cycles": self._cycle,
         }
 

@@ -88,11 +88,10 @@ def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
 
 def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, seed: int,
                       environments=("sparse", "medium", "dense"), worlds_per_env: int = 2,
-                      world_params_fn=desk_world_params,
-                      aimed_fraction: float = 0.5) -> tuple[FrameSet, FrameSet]:
+                      world_params_fn=desk_world_params) -> tuple[FrameSet, FrameSet]:
     """Free-pose renders across generated worlds.
 
-    A fraction of the poses aim at a nearby thin obstacle (the stance a robot
+    Half the poses aim at a nearby thin obstacle (the stance a robot
     actually encounters them from); the rest are uniform random views.
     Returns (clean, corrupted) frame sets of equal length; corruption seeds
     derive from `seed` so the pair is reproducible.
@@ -107,7 +106,7 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
         x0, y0, x1, y1 = world.bounds
         # a render pose only needs the camera clear of geometry, not a full
         # flight-clearance bubble (rod fields are tighter than the robot)
-        aim_rods = rng.random() < aimed_fraction
+        aim_rods = rng.random() < 0.5
         thin = world.cylinders[world.cylinders[:, 4] >= 1]
         if aim_rods and len(thin):
             rod = thin[int(rng.integers(len(thin)))]
@@ -147,11 +146,11 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
                            horizon: int = 10, dt: float = 0.25, max_steps: int = 60,
                            environments=("sparse", "medium", "dense"), worlds_per_env: int = 2,
                            world_params_fn=desk_world_params,
-                           dynamics: DynamicsParams = DynamicsParams(),
-                           flip: bool = True) -> CollisionSet:
+                           dynamics: DynamicsParams = DynamicsParams()) -> CollisionSet:
     """Roll randomized action sequences in generated worlds and label the
-    windows.  Frames are clean renders; corrupt copies are a separate,
-    deterministic step (corrupt_frameset)."""
+    windows, then append their mirror copies (with_flip_augmentation).
+    Frames are clean renders; corrupt copies are a separate, deterministic
+    step (corrupt_frameset)."""
     rng = np.random.default_rng(seed)
     pick_world = _world_picker(rng, environments, worlds_per_env, world_params_fn)
 
@@ -178,8 +177,7 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
         made += 1
     if not sets:
         raise DatasetError("no collision datapoints collected")
-    ds = CollisionSet.concat(sets)
-    return with_flip_augmentation(ds) if flip else ds
+    return with_flip_augmentation(CollisionSet.concat(sets))
 
 
 def build_latent_dataset(ds_clean: CollisionSet, vae: SemanticVae, noise: NoiseParams,

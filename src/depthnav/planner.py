@@ -176,12 +176,15 @@ def select_action(scores: np.ndarray, end_dirs: np.ndarray, goal: np.ndarray,
     """Among sequences scoring under the threshold, maximize end-velocity
     alignment with the goal (ties break to the lowest library index); with
     an empty safe set, return the minimum-score sequence flagged unsafe.
-    PlannerError for an empty or non-finite score vector."""
+    PlannerError for an empty or non-finite score vector, or a zero or
+    non-finite goal."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0 or not np.all(np.isfinite(scores)):
         raise PlannerError(f"scores must be a non-empty finite vector, got {scores.size} "
                            f"with {np.count_nonzero(~np.isfinite(scores))} non-finite")
     goal = np.asarray(goal, dtype=np.float64)
+    if not np.isfinite(goal).all():
+        raise PlannerError(f"goal vector must be finite, got {goal}")
     norm = np.linalg.norm(goal)
     if norm < 1e-9:
         raise PlannerError("goal vector is zero")

@@ -12,10 +12,13 @@ vehicle frame plus a steering angle measured from the current yaw.  The
 planner-facing state is the partial state [v(3), yaw_rate, roll, pitch];
 position and yaw stay private to the simulator.  The flown vehicle, the
 collision labels and the ground-truth oracle integrate through one dynamics
-core, with a fixed SUBSTEPS = 5 substeps per control interval.  It flies
-first and checks after: every row's substates are recorded, then the whole
-path is collision-checked in one culled pass, and each row reports the state
-at its own first colliding substate, or at the end of its flight.
+core, with a fixed SUBSTEPS = 5 substeps per control interval.  An action
+sequence is one flight, not a chain of one-step calls: a T-interval flight
+does the same operations as T one-interval flights chained, so its states
+are those of flying it one step at a time.  It flies first and checks
+after: every row's substates are recorded, then the whole path is
+collision-checked in one culled pass, and each row's states stop at its own
+first colliding substate.
 """
 
 from __future__ import annotations
@@ -421,21 +424,22 @@ def _path_hits(world: World, path: np.ndarray, radius: float, hit: np.ndarray) -
         mark(rows, _box_clearance(*p, *box[:, :4].T, box[:, 5], cos_y, sin_y))
 
 
-def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
-         n_sub: int, params: DynamicsParams):
+def _fly(world: World, start: RobotState, actions: np.ndarray, dt: float,
+         params: DynamicsParams):
     """The one vehicle integrator: M rows flown from `start` through action
-    sequences (M, T, 4), each control interval of dt in n_sub substeps.
+    sequences (M, T, 4), each control interval of dt in SUBSTEPS substeps.
 
     Each interval clamps the reference to v_max and rotates it by the steer;
     each substep relaxes velocity and yaw toward it (first order, exact over
     the substep, yaw rate limited) and advances the position by the velocity
     rotated into the world frame.  Rotations and the speed are stacked
     matmuls, so a row reproduces rot_z(a) @ v and np.linalg.norm(v) bit for
-    bit.  Flying integrates first, recording every substate; with a world,
-    the whole (T * n_sub, M) path is then collision-checked in one pass.
-    Returns cumulative hit flags (M, T) and, per row, the state at its first
-    colliding substate, or at the end when it never collides: position, yaw
-    and velocity, and that substep's yaw rate and commanded acceleration.
+    bit.  Flying integrates first, recording every substate; the whole
+    (T * SUBSTEPS, M) path is then collision-checked in one pass.
+    Returns cumulative hit flags (M, T) and state_after(step, row): the
+    row's state at the end of interval `step`, or at its first colliding
+    substate when that comes earlier, with that substep's yaw rate, and roll
+    and pitch from its commanded acceleration.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise WorldError(f"dt must be finite and > 0, got {dt}")
@@ -445,16 +449,16 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
             and np.isfinite(start.velocity).all() and math.isfinite(start.yaw)):
         raise WorldError("non-finite start state or actions")
     m, t, _ = actions.shape
-    if world is not None:
-        world = _within_travel(world, start, t * dt, params)
+    n = t * SUBSTEPS
+    world = _within_travel(world, start, t * dt, params)
     pos = np.tile(start.position, (m, 1))
     # substate k's position is path[k]; its yaw and velocity are yaws[k + 1]
     # and vels[k + 1], after the start's in row 0
-    path = np.empty((t * n_sub, m, 3))
-    yaws, vels = np.empty((t * n_sub + 1, m)), np.empty((t * n_sub + 1, m, 3))
+    path = np.empty((n, m, 3))
+    yaws, vels = np.empty((n + 1, m)), np.empty((n + 1, m, 3))
     yaws[0], vels[0] = start.yaw, start.velocity
-    v_cmds, dyaws = np.empty((t * n_sub, m, 3)), np.empty((t * n_sub, m))  # per substate
-    rot = np.zeros((n_sub * m, 3, 3))
+    v_cmds, dyaws = np.empty((t, m, 3)), np.empty((t, m))  # per interval
+    rot = np.zeros((SUBSTEPS * m, 3, 3))
     rot[:, 2, 2] = 1.0
 
     def turn(angle, v):  # rot_z(angle[i]) @ v[i] for every row
@@ -463,7 +467,7 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
         r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1] = c, -s, s, c
         return np.matmul(r, v[:, :, None])[:, :, 0]
 
-    sub = dt / n_sub
+    sub = dt / SUBSTEPS
     decay = np.exp(-sub / params.tau_v)
     yaw_gain = 1.0 - np.exp(-sub / params.tau_yaw)
     yaw_limit = params.omega_max * sub
@@ -473,56 +477,37 @@ def _fly(world: World | None, start: RobotState, actions: np.ndarray, dt: float,
         over = speed > params.v_max
         v_ref[over] *= (params.v_max / speed[over])[:, None]
         steer = actions[:, step, 3]
-        k = step * n_sub
-        v_cmd = v_cmds[k:k + n_sub] = turn(steer, v_ref)
-        dyaw = dyaws[k:k + n_sub] = np.clip(((steer + np.pi) % (2.0 * np.pi) - np.pi) * yaw_gain,
-                                            -yaw_limit, yaw_limit)
+        v_cmd = v_cmds[step] = turn(steer, v_ref)
+        dyaw = dyaws[step] = np.clip(((steer + np.pi) % (2.0 * np.pi) - np.pi) * yaw_gain,
+                                     -yaw_limit, yaw_limit)
         # velocity and yaw do not depend on the position: relax them through
         # the interval, then turn all its substeps' velocities at once and
         # sum the moves in flight order
-        for j in range(k, k + n_sub):
+        k = step * SUBSTEPS
+        for j in range(k, k + SUBSTEPS):
             np.add(v_cmd, (vels[j] - v_cmd) * decay, out=vels[j + 1])
             np.subtract((yaws[j] + dyaw + np.pi) % (2.0 * np.pi), np.pi, out=yaws[j + 1])
-        now = slice(k + 1, k + n_sub + 1)
-        moved = (sub * turn(yaws[now].ravel(), vels[now].reshape(-1, 3))).reshape(n_sub, m, 3)
+        now = slice(k + 1, k + SUBSTEPS + 1)
+        moved = (sub * turn(yaws[now].ravel(), vels[now].reshape(-1, 3))).reshape(SUBSTEPS, m, 3)
         moved[0] += pos
-        pos = np.add.accumulate(moved, axis=0, out=path[k:k + n_sub])[-1]
+        pos = np.add.accumulate(moved, axis=0, out=path[k:k + SUBSTEPS])[-1]
     # hit's extra last row is all True, so argmax finds each row's first
-    # colliding substate, or t * n_sub for a row that never collides
-    hit = np.zeros((t * n_sub + 1, m), dtype=bool)
+    # colliding substate, or n for a row that never collides
+    hit = np.zeros((n + 1, m), dtype=bool)
     hit[-1] = True
-    if world is not None:
-        _path_hits(world, path, params.collision_radius, hit[:-1])
+    _path_hits(world, path, params.collision_radius, hit[:-1])
     first = hit.argmax(axis=0)
-    hits = np.arange(t) >= (first // n_sub)[:, None]  # cumulative flags
-    # flat index of (the row's last substate flown, row) into the records
-    at = np.minimum(first, t * n_sub - 1) * m + np.arange(m)
-    pos = path.reshape(-1, 3).take(at, axis=0)
-    vel, prev = vels.reshape(-1, 3).take(at + m, axis=0), vels.reshape(-1, 3).take(at, axis=0)
-    v_cmd = v_cmds.reshape(-1, 3).take(at, axis=0)
-    return (hits, pos, yaws.take(at + m), vel, dyaws.take(at) / sub,
-            (v_cmd - prev) / params.tau_v)
+    hits = np.arange(t) >= (first // SUBSTEPS)[:, None]  # cumulative flags
 
+    def state_after(step: int, row: int = 0) -> RobotState:
+        k = min(first[row], (step + 1) * SUBSTEPS - 1)
+        interval = k // SUBSTEPS
+        accel = (v_cmds[interval, row] - vels[k, row]) / params.tau_v
+        roll, pitch = np.arctan2(-accel[1], GRAVITY), np.arctan2(accel[0], GRAVITY)
+        return RobotState(path[k, row], float(yaws[k + 1, row]), vels[k + 1, row],
+                          float(dyaws[interval, row] / sub), float(roll), float(pitch))
 
-def _fly_one(world: World | None, state: RobotState, action, dt: float, n_sub: int,
-             params: DynamicsParams) -> tuple[RobotState, bool]:
-    """_fly on one row for one control interval: (new_state, collided)."""
-    action = np.asarray(action, dtype=np.float64)[None, None]
-    hits, pos, yaw, vel, rate, accel = _fly(world, state, action, dt, n_sub, params)
-    roll, pitch = np.arctan2(-accel[0, 1], GRAVITY), np.arctan2(accel[0, 0], GRAVITY)
-    new = RobotState(pos[0], float(yaw[0]), vel[0], float(rate[0]), float(roll), float(pitch))
-    return new, bool(hits[0, 0])
-
-
-def step_dynamics(state: RobotState, action: np.ndarray, dt: float,
-                  params: DynamicsParams = DynamicsParams()) -> RobotState:
-    """First-order velocity and yaw tracking, integrated exactly over dt.
-
-    The commanded velocity is the action's reference velocity rotated by the
-    steering angle about vertical; roll/pitch follow quasi-statically from
-    the commanded acceleration.
-    """
-    return _fly_one(None, state, action, dt, 1, params)[0]
+    return hits, state_after
 
 
 def step_with_collision(world: World, state: RobotState, action, dt: float,
@@ -533,7 +518,9 @@ def step_with_collision(world: World, state: RobotState, action, dt: float,
     Returns (new_state, collided).  On collision the state is the first
     colliding substate (the episode ends there anyway).
     """
-    return _fly_one(world, state, action, dt, SUBSTEPS, params)
+    hits, state_after = _fly(world, state, np.asarray(action, dtype=np.float64)[None, None],
+                             dt, params)
+    return state_after(0), bool(hits[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -588,23 +575,23 @@ def rollout_episode(world: World, start: RobotState, sensor, seed: int,
     collision ending, its last executed action held for T more steps, so a
     window past the end continues the sequence it was flying.
     """
+    if T < 1:
+        raise WorldError(f"rollout needs sequences of T >= 1 steps, got {T}")
     if check_collision(world, start.position, dynamics.collision_radius):
         raise WorldError("rollout start pose is in collision")
     rng = np.random.default_rng(seed)
     frames, states, actions, collided = [], [], [], []
-    state = start
-    hit = False
-    steps = 0
-    while steps < max_steps and not hit:
-        seq = sample_action_sequence(rng, sampler, T)
-        for i in range(T):
+    state, hit = start, False
+    while len(actions) < max_steps and not hit:
+        seq = sample_action_sequence(rng, sampler, T)[:max_steps - len(actions)]
+        hits, state_after = _fly(world, state, seq[None], dt, dynamics)
+        for i, action in enumerate(seq):
             frames.append(sensor(state))
             states.append(state.partial_state())
-            actions.append(seq[i])
-            state, hit = step_with_collision(world, state, seq[i], dt, dynamics)
+            actions.append(action)
+            state, hit = state_after(i), bool(hits[0, i])
             collided.append(1 if hit else 0)
-            steps += 1
-            if hit or steps >= max_steps:
+            if hit:
                 break
     if hit:
         extra = np.tile(actions[-1], (T, 1))
@@ -626,10 +613,11 @@ def rollout_collision_matrix(world: World, start: RobotState, actions: np.ndarra
     """Ground-truth cumulative collision flags for M action sequences rolled
     out in parallel from one start state; actions (M, T, 4) -> (M, T) uint8.
 
-    Flies the vehicle's own integrator (the one step_with_collision runs),
-    so a row's flags are exactly those of flying it one step at a time."""
+    Each row is one flight of the vehicle's own integrator, as in
+    rollout_episode, so a row's flags are exactly those of the vehicle
+    flying that sequence."""
     actions = np.asarray(actions, dtype=np.float64)
-    return _fly(world, start, actions, dt, SUBSTEPS, params)[0].astype(np.uint8)
+    return _fly(world, start, actions, dt, params)[0].astype(np.uint8)
 
 
 def find_free_start(world: World, rng: np.random.Generator, x_range, y_range, z: float = 1.0,

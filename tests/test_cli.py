@@ -98,6 +98,15 @@ def test_zero_batch_size_gives_one_error_line(micro, capsys):
     assert not (out / "sevae.ckpt").exists()
 
 
+def test_zero_horizon_gives_one_error_line(micro, capsys):
+    # a zero-step sequence never advances an episode, so collecting would not end
+    ini, out = micro
+    ini.write_text(MICRO_INI.replace("max_steps = 20", "max_steps = 20\nhorizon = 0"))
+    assert main(["collect-collisions", "--config", str(ini), "--seed", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: [dataset] horizon must be >= 1")
+
+
 def test_unknown_arm_gives_one_error_line(micro, capsys):
     ini, out = micro
     assert main(["run-campaign", "--arms", "bogus", "--config", str(ini), "--out", str(out)]) == 2

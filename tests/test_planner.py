@@ -215,6 +215,13 @@ class TestSelect:
         with pytest.raises(PlannerError):
             select_action(np.zeros(len(lib)), lib.end_dirs, np.zeros(3), 0.3)
 
+    @pytest.mark.parametrize("goal", [[np.nan, 0, 0], [np.inf, 0, 0], [1, np.nan, 0]])
+    def test_non_finite_goal_rejected(self, goal):
+        # a NaN alignment would otherwise pick entry 0, flagged safe
+        lib = self._lib()
+        with pytest.raises(PlannerError, match="finite"):
+            select_action(np.zeros(len(lib)), lib.end_dirs, np.array(goal, dtype=float), 0.3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
         lib = self._lib()

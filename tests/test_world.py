@@ -11,6 +11,7 @@ from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
     GRAVITY,
     SUBSTEPS,
+    ActionSamplerConfig,
     DynamicsParams,
     RobotState,
     World,
@@ -28,12 +29,33 @@ from depthnav.world import (
     poisson_disc_sample,
     rollout_episode,
     rollout_collision_matrix,
+    rot_z,
+    sample_action_sequence,
     save_world,
-    step_dynamics,
     step_with_collision,
     world_summary,
+    wrap_angle,
 )
 from depthnav.world import _fly
+
+
+def _substep(state, action, sub, params=DynamicsParams()):
+    """One substep of the vehicle model for one state, in scalar operations:
+    the independent reference that the package's batched integrator must
+    reproduce bit for bit."""
+    action = np.asarray(action, dtype=np.float64)
+    v_ref, steer = action[:3], action[3]
+    speed = np.linalg.norm(v_ref)
+    if speed > params.v_max:
+        v_ref = v_ref * (params.v_max / speed)
+    v_cmd = rot_z(steer) @ v_ref
+    velocity = v_cmd + (state.velocity - v_cmd) * np.exp(-sub / params.tau_v)
+    limit = params.omega_max * sub
+    dyaw = np.clip(wrap_angle(steer) * (1.0 - np.exp(-sub / params.tau_yaw)), -limit, limit)
+    yaw = wrap_angle(state.yaw + dyaw)
+    accel = (v_cmd - state.velocity) / params.tau_v
+    return RobotState(state.position + sub * (rot_z(yaw) @ velocity), yaw, velocity, dyaw / sub,
+                      np.arctan2(-accel[1], GRAVITY), np.arctan2(accel[0], GRAVITY))
 
 
 class TestPoissonDisc:
@@ -296,10 +318,17 @@ class TestDynamics:
         params = DynamicsParams(collision_radius=0.0)
         assert not check_collision(empty_world(), np.array([1.0, 1.0, 1e-9]), params.collision_radius)
 
+    @staticmethod
+    def _step(state, action, dt, params=DynamicsParams()):
+        """One control interval in a world with nothing to hit."""
+        state, hit = step_with_collision(empty_world(), state, action, dt, params)
+        assert not hit
+        return state
+
     def test_equilibrium_action_only_advances_position(self):
         state = hover_state([0, 0, 1.0])
         state.velocity = np.array([0.8, 0.0, 0.0])
-        nxt = step_dynamics(state, np.array([0.8, 0.0, 0.0, 0.0]), 0.1)
+        nxt = self._step(state, np.array([0.8, 0.0, 0.0, 0.0]), 0.1)
         assert np.allclose(nxt.velocity, state.velocity)
         assert nxt.yaw == state.yaw
         assert nxt.roll == 0.0 and nxt.pitch == 0.0
@@ -307,7 +336,7 @@ class TestDynamics:
 
     def test_hover_from_rest_is_stationary(self):
         state = hover_state([1, 2, 1.0])
-        nxt = step_dynamics(state, np.zeros(4), 0.05)
+        nxt = self._step(state, np.zeros(4), 0.05)
         assert np.allclose(nxt.position, state.position)
         assert nxt.roll == 0.0 and nxt.pitch == 0.0
 
@@ -316,7 +345,7 @@ class TestDynamics:
         state = hover_state([0, 0, 1.0])
         params = DynamicsParams(tau_v=0.3)
         for _ in range(20):  # 1 s at dt = 0.05
-            state = step_dynamics(state, np.array([1.0, 0, 0, 0]), 0.05, params)
+            state = self._step(state, np.array([1.0, 0, 0, 0]), 0.05, params)
         expected = 1.0 - np.exp(-1.0 / 0.3)
         assert 0.95 <= state.velocity[0] <= 0.97
         assert abs(state.velocity[0] - expected) < 1e-9
@@ -326,7 +355,7 @@ class TestDynamics:
         state.velocity = np.array([1.2, -0.4, 0.3])
         prev = np.linalg.norm(state.velocity)
         for _ in range(40):
-            state = step_dynamics(state, np.zeros(4), 0.05)
+            state = self._step(state, np.zeros(4), 0.05)
             speed = np.linalg.norm(state.velocity)
             assert speed <= prev + 1e-12
             prev = speed
@@ -335,7 +364,7 @@ class TestDynamics:
         state = hover_state([0, 0, 1.0])
         params = DynamicsParams(v_max=1.5)
         for _ in range(200):
-            state = step_dynamics(state, np.array([9.0, 0, 0, 0]), 0.05, params)
+            state = self._step(state, np.array([9.0, 0, 0, 0]), 0.05, params)
         assert np.linalg.norm(state.velocity) <= 1.5 + 1e-9
 
     @staticmethod
@@ -426,7 +455,7 @@ class TestStepWithCollision:
     def _unfiltered(world, state, action, dt, params, substeps=5):
         sub = dt / substeps
         for _ in range(substeps):
-            state = step_dynamics(state, action, sub, params)
+            state = _substep(state, action, sub, params)
             if check_collision(world, state.position, params.collision_radius):
                 return state, True
         return state, False
@@ -493,7 +522,7 @@ def _reference(world, start, actions, dt=0.25, params=DynamicsParams()):
         for action in row:
             for _ in range(SUBSTEPS):
                 if not hit:
-                    state = step_dynamics(state, action, sub, params)
+                    state = _substep(state, action, sub, params)
                     hit = check_collision(world, state.position, params.collision_radius)
             row_flags.append(hit)
         flags.append(row_flags)
@@ -502,12 +531,11 @@ def _reference(world, start, actions, dt=0.25, params=DynamicsParams()):
 
 
 def _fly_states(world, start, actions, dt=0.25, params=DynamicsParams()):
-    """_fly's flags and per-row (position, yaw, velocity, yaw_rate, roll, pitch),
-    for float64 actions as rollout_collision_matrix flies them."""
+    """_fly's flags and each row's state after its last interval, for
+    float64 actions as rollout_collision_matrix flies them."""
     actions = np.asarray(actions, dtype=np.float64)
-    hits, pos, yaw, vel, rate, accel = _fly(world, start, actions, dt, SUBSTEPS, params)
-    roll, pitch = np.arctan2(-accel[:, 1], GRAVITY), np.arctan2(accel[:, 0], GRAVITY)
-    return hits, list(zip(pos, yaw, vel, rate, roll, pitch))
+    hits, state_after = _fly(world, start, actions, dt, params)
+    return hits, [state_after(actions.shape[1] - 1, row) for row in range(len(actions))]
 
 
 STATE_FIELDS = ("position", "yaw", "velocity", "yaw_rate", "roll", "pitch")
@@ -531,10 +559,9 @@ class TestPathCheck:
         for i, (got, want) in enumerate(zip(states, want_states)):
             alone_hits, (alone,) = _fly_states(world, start, actions[i:i + 1])
             assert np.array_equal(alone_hits[0], hits[i])
-            for a, b, c, field in zip(got, alone, [getattr(want, f) for f in STATE_FIELDS],
-                                      STATE_FIELDS):
-                assert np.array_equal(a, b), field
-                assert np.array_equal(a, c), field
+            for field in STATE_FIELDS:
+                assert np.array_equal(getattr(got, field), getattr(alone, field)), field
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
         return hits
 
     @staticmethod
@@ -542,7 +569,7 @@ class TestPathCheck:
         """x of substate k on the STRAIGHT path (exact: nothing but x moves)."""
         state = TestPathCheck.START
         for _ in range(k + 1):
-            state = step_dynamics(state, TestPathCheck.STRAIGHT[0, 0], 0.25 / SUBSTEPS)
+            state = _substep(state, TestPathCheck.STRAIGHT[0, 0], 0.25 / SUBSTEPS)
         assert state.position[1] == 5.0 and state.position[2] == 1.5
         return state.position[0]
 
@@ -703,3 +730,59 @@ class TestRollout:
                       boxes=np.zeros((0, 7)), bounds=(0, 0, 5, 5), ceiling=4.0)
         with pytest.raises(WorldError, match="collision"):
             rollout_episode(world, hover_state([0.5, 0, 1.0]), self._sensor(), seed=0)
+
+    @pytest.mark.parametrize("T", [0, -2])
+    def test_sequences_without_steps_rejected(self, T):
+        # a zero-step sequence never advances the episode
+        with pytest.raises(WorldError, match="T >= 1"):
+            rollout_episode(empty_world(), hover_state([5, 5, 1.0]), self._sensor(), seed=0, T=T)
+
+    @staticmethod
+    def _chained(world, start, seed, T, max_steps, dt=0.25, params=DynamicsParams()):
+        """rollout_episode's steps, flying the same sampled sequences one
+        step_with_collision call at a time: (state at each step start,
+        actions, flags)."""
+        rng = np.random.default_rng(seed)
+        states, actions, collided = [], [], []
+        state, hit = start, False
+        while len(actions) < max_steps and not hit:
+            seq = sample_action_sequence(rng, ActionSamplerConfig(), T)
+            for action in seq[:max_steps - len(actions)]:
+                states.append(state)
+                actions.append(action)
+                state, hit = step_with_collision(world, state, action, dt, params)
+                collided.append(hit)
+                if hit:
+                    break
+        return states, np.array(actions), np.array(collided, dtype=np.uint8)
+
+    @pytest.mark.parametrize("max_steps,T", [(37, 10), (23, 7), (41, 3)])
+    def test_episode_matches_its_sequences_flown_one_step_at_a_time(self, max_steps, T):
+        # each sampled sequence is one flight; chaining one-interval flights
+        # over the same sequences gives the same states bit for bit, in a
+        # dense world, from starts faster than v_max, with collisions inside
+        # a sequence and max_steps cutting the last sequence short
+        world = generate_world(desk_world_params("dense", seed=5))
+        rng = np.random.default_rng(21)
+        fast = mid_sequence = cut_short = 0
+        for seed in range(16):
+            pos = rng.uniform([1.0, 1.0, 0.6], [44.0, 14.0, 3.4])
+            velocity = rng.uniform(-1, 1, 3) * np.array([3.0, 1.0, 0.2])
+            start = RobotState(position=pos, yaw=rng.uniform(-np.pi, np.pi), velocity=velocity)
+            if check_collision(world, pos, DynamicsParams().collision_radius):
+                continue
+            episode = rollout_episode(world, start, lambda state: state, seed, T=T,
+                                      max_steps=max_steps)
+            states, actions, collided = self._chained(world, start, seed, T, max_steps)
+            assert np.array_equal(episode.actions, actions)
+            assert np.array_equal(episode.collided, collided)
+            assert episode.ended_in_collision == bool(collided[-1])
+            assert len(episode.frames) == len(states)
+            for got, want in zip(episode.frames, states):  # the sensor saw each step's start
+                for field in STATE_FIELDS:
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert np.array_equal(episode.states, [state.partial_state() for state in states])
+            fast += np.linalg.norm(velocity) > DynamicsParams().v_max
+            mid_sequence += episode.ended_in_collision and 0 < (len(episode) - 1) % T < T - 1
+            cut_short += not episode.ended_in_collision
+        assert fast and mid_sequence and cut_short
