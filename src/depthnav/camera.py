@@ -347,6 +347,8 @@ def downsample(frame: DepthFrame, target_hw) -> DepthFrame:
     """
     th, tw = target_hw
     h, w = frame.shape
+    if th < 1 or tw < 1:
+        raise ShapeError(f"downsample target must be at least 1x1, got {th}x{tw}")
     if th > h or tw > w:
         raise ShapeError(f"cannot upsample {h}x{w} to {th}x{tw}")
     if (th, tw) == (h, w):

@@ -74,6 +74,11 @@ class CpnConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ShapeError("horizon must be >= 1")
+        widths = (self.latent_dim, self.state_dim, self.action_dim, self.hidden,
+                  self.perception_embed, self.state_embed, self.action_embed,
+                  *self.image_hw, *self.e2e_channels)
+        if min(widths) < 1:
+            raise ShapeError(f"every layer width and image size must be >= 1, got {self}")
         if self.variant not in (MODULAR, END_TO_END):
             raise ShapeError(f"unknown variant {self.variant!r}")
 

@@ -1,14 +1,15 @@
 """Dataset construction and persistence.
 
-Three payload kinds share one binary container:
+Datasets are files of the package's one container (see container.py), of
+three kinds:
 
-  vaef  depth-frame sets {x, valid, seg} for autoencoder training
-  cold  collision datapoints (frame, partial state, action window, labels)
-  colz  latent collision datapoints (mu instead of the frame)
+  vaef  depth-frame sets, arrays x, valid, seg, for autoencoder training
+  cold  collision datapoints: x, valid, seg, states, actions, labels
+  colz  latent collision datapoints: mu (instead of the frame), states,
+        actions, labels
 
-Container layout (little-endian): magic "DSET", version u32, kind 4 bytes,
-dims H, W, J, T as u32 (zero when unused), count u32, payload arrays in a
-fixed per-kind order, trailing CRC32.  Round-trips are bit-exact.
+The meta block holds the kind, the dims height, width, latent_dim and
+horizon (zero when unused) and the count.  Round-trips are bit-exact.
 
 Collision labels are monotone within a window: once a window step collides,
 every later step stays 1.  Windows that extend past a collision ending
@@ -21,19 +22,15 @@ states, actions and labels, so it survives encoding and the container.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .camera import DepthFrame, depth_pgm_to_frame, frame_to_depth_pgm, read_pgm, write_pgm
+from .container import load_arrays, read_meta, save_arrays
 from .errors import DatasetError, ShapeError
 from .world import ACTION_DIM, CollisionEpisode, PARTIAL_STATE_DIM
-
-DATASET_MAGIC = b"DSET"
-DATASET_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,94 +249,60 @@ def split(dataset, ratio: float, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# Binary container
+# Dataset files
 # ---------------------------------------------------------------------------
 
-def _pack_arrays(arrays) -> bytes:
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+# the arrays of each dataset kind, in file order
+_FRAME_ARRAYS = ("x", "valid", "seg")
+_KIND_ARRAYS = {
+    "vaef": _FRAME_ARRAYS,
+    "cold": (*_FRAME_ARRAYS, "states", "actions", "labels"),
+    "colz": ("mu", "states", "actions", "labels"),
+}
 
 
 def save_dataset(path, ds) -> None:
     if isinstance(ds, FrameSet):
-        kind, dims = b"vaef", (ds.x.shape[1], ds.x.shape[2], 0, 0)
-        arrays = [ds.x.astype("<f4"), ds.valid, ds.seg.astype("<u2")]
+        kind, frames, latent_dim, horizon = "vaef", ds, 0, 0
     elif isinstance(ds, CollisionSet):
-        kind = b"cold"
-        dims = (ds.frames.x.shape[1], ds.frames.x.shape[2], 0, ds.horizon)
-        arrays = [ds.frames.x.astype("<f4"), ds.frames.valid, ds.frames.seg.astype("<u2"),
-                  ds.states.astype("<f4"), ds.actions.astype("<f4"), ds.labels]
+        kind, frames, latent_dim, horizon = "cold", ds.frames, 0, ds.horizon
     elif isinstance(ds, LatentCollisionSet):
-        kind = b"colz"
-        dims = (0, 0, ds.mu.shape[1], ds.horizon)
-        arrays = [ds.mu.astype("<f4"), ds.states.astype("<f4"),
-                  ds.actions.astype("<f4"), ds.labels]
+        kind, frames, latent_dim, horizon = "colz", None, ds.mu.shape[1], ds.horizon
     else:
         raise DatasetError(f"cannot serialize {type(ds).__name__}")
-    head = DATASET_MAGIC + struct.pack("<I", DATASET_VERSION) + kind
-    head += struct.pack("<4I", *dims) + struct.pack("<I", len(ds))
-    blob = head + _pack_arrays(arrays)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    height, width = frames.x.shape[1:] if frames is not None else (0, 0)
+    arrays = {name: getattr(frames if name in _FRAME_ARRAYS else ds, name)
+              for name in _KIND_ARRAYS[kind]}
+    save_arrays(path, arrays, {"kind": kind, "height": height, "width": width,
+                               "latent_dim": latent_dim, "horizon": horizon, "count": len(ds)})
 
 
-def _read_array(blob, off, dtype, shape):
-    count = int(np.prod(shape)) if shape else 0
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(shape).copy()
-    return arr, off + count * np.dtype(dtype).itemsize
+def _dataset_kind(path, meta) -> str:
+    if meta.get("kind") not in _KIND_ARRAYS:
+        raise DatasetError(f"{path}: a {meta.get('kind')!r} file, not a dataset")
+    return meta["kind"]
 
 
 def dataset_info(path) -> dict:
-    """Header fields only (kind, dims, count) without loading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(32)
-    if len(head) < 32 or head[:4] != DATASET_MAGIC:
-        raise DatasetError(f"{path}: not a dataset container")
-    version = struct.unpack_from("<I", head, 4)[0]
-    kind = head[8:12].decode("ascii")
-    h, w, j, t = struct.unpack_from("<4I", head, 12)
-    count = struct.unpack_from("<I", head, 28)[0]
-    return {"version": version, "kind": kind, "height": h, "width": w,
-            "latent_dim": j, "horizon": t, "count": count}
+    """The meta block (kind, dims, count), read without the payload."""
+    meta = read_meta(path, DatasetError)
+    _dataset_kind(path, meta)
+    return meta
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 36 or blob[:4] != DATASET_MAGIC:
-        raise DatasetError(f"{path}: not a dataset container")
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != struct.unpack("<I", blob[-4:])[0]:
-        raise DatasetError(f"{path}: CRC mismatch, container corrupt")
-    info = dataset_info(path)
-    if info["version"] != DATASET_VERSION:
-        raise DatasetError(f"{path}: unsupported container version {info['version']}")
-    n, h, w = info["count"], info["height"], info["width"]
-    j, t = info["latent_dim"], info["horizon"]
-    off = 32
-    if info["kind"] == "vaef":
-        x, off = _read_array(blob, off, "<f4", (n, h, w))
-        valid, off = _read_array(blob, off, "u1", (n, h, w))
-        seg, off = _read_array(blob, off, "<u2", (n, h, w))
-        out = FrameSet(x, valid, seg)
-    elif info["kind"] == "cold":
-        x, off = _read_array(blob, off, "<f4", (n, h, w))
-        valid, off = _read_array(blob, off, "u1", (n, h, w))
-        seg, off = _read_array(blob, off, "<u2", (n, h, w))
-        states, off = _read_array(blob, off, "<f4", (n, PARTIAL_STATE_DIM))
-        actions, off = _read_array(blob, off, "<f4", (n, t, ACTION_DIM))
-        labels, off = _read_array(blob, off, "u1", (n, t))
-        out = CollisionSet(FrameSet(x, valid, seg), states, actions, labels)
-    elif info["kind"] == "colz":
-        mu, off = _read_array(blob, off, "<f4", (n, j))
-        states, off = _read_array(blob, off, "<f4", (n, PARTIAL_STATE_DIM))
-        actions, off = _read_array(blob, off, "<f4", (n, t, ACTION_DIM))
-        labels, off = _read_array(blob, off, "u1", (n, t))
-        out = LatentCollisionSet(mu, states, actions, labels)
-    else:
-        raise DatasetError(f"{path}: unknown payload kind {info['kind']!r}")
-    if off != len(blob) - 4:
-        raise DatasetError(f"{path}: payload size mismatch")
-    return out
+    meta, arrays = load_arrays(path, DatasetError)
+    names = _KIND_ARRAYS[_dataset_kind(path, meta)]
+    if tuple(arrays) != names or any(a.shape[:1] != (meta.get("count"),)
+                                     for a in arrays.values()):
+        raise DatasetError(f"{path}: arrays {list(arrays)} do not make a {meta['kind']} "
+                           f"dataset of {meta.get('count')} rows")
+    a = list(arrays.values())
+    if meta["kind"] == "vaef":
+        return FrameSet(*a)
+    if meta["kind"] == "cold":
+        return CollisionSet(FrameSet(*a[:3]), *a[3:])
+    return LatentCollisionSet(*a)
 
 
 # ---------------------------------------------------------------------------

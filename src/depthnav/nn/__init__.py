@@ -1,8 +1,8 @@
 """Minimal neural-network substrate: layers with hand-derived gradients,
-Adam, finite-difference gradient checking, and a binary checkpoint format."""
+Adam, finite-difference gradient checking, and the model base whose
+checkpoints are files of the package's one container (depthnav.container)."""
 
 from .adam import AdamState, adam_step
-from .checkpoint import Entry, load_checkpoint, save_checkpoint
 from .gradcheck import max_param_error, numeric_gradient, relative_errors
 from .layers import (
     Activation,
@@ -25,9 +25,9 @@ from .layers import (
 from .model import Model, fit
 
 __all__ = [
-    "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "Entry", "Flatten",
+    "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "Flatten",
     "GRUCell", "Layer", "Model", "Reshape", "Sequential", "adam_step", "conv_out_hw", "fit",
-    "leaky_relu", "load_checkpoint", "lrelu_fingerprint", "max_param_error",
+    "leaky_relu", "lrelu_fingerprint", "max_param_error",
     "numeric_gradient", "relative_errors", "sample_latent", "sample_latent_backward",
-    "save_checkpoint", "shared_rows", "sigmoid",
+    "shared_rows", "sigmoid",
 ]

@@ -66,8 +66,6 @@ class Layer:
     """Base layer: holds named parameters and their gradient accumulators."""
 
     name = "layer"
-    kind = "layer"
-    stride = 1
 
     def __init__(self, dtype=DTYPE):
         self.dtype = np.dtype(dtype)
@@ -104,32 +102,24 @@ class Layer:
         return cache
 
 
-def _tap_span(tap: int, pad: int, stride: int, size: int, lo: int, hi: int) -> tuple[slice, slice]:
-    """For one kernel tap along one axis: the output positions o in [lo, hi)
-    whose input index o*stride + tap - pad lies in [0, size), and those input
-    indices."""
-    lo = max(lo, (pad - tap + stride - 1) // stride)
-    hi = max(lo, min(hi, (size - 1 - tap + pad) // stride + 1))
-    return slice(lo, hi), slice(lo * stride + tap - pad, hi * stride + tap - pad, stride)
-
-
 @functools.lru_cache(maxsize=64)
-def _phase_plan(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
-    """The stride-phase lowering of one conv geometry (see _im2col).
+def _phase_plan(h: int, w: int, k: int, stride: int):
+    """The stride-phase lowering of one conv geometry, kernel k x k at
+    pad k // 2 (see _im2col).
 
-    Returns ho, wo, the plane rows, and four index lists: `phases` pairs
+    Returns ho, wo, the plane rows, and three index lists: `phases` pairs
     the x entries of each phase plane with the plane's entries; `taps`
     gives each tap (i, j) its plane (p, q), the span of its Ho*Wo flat
     columns whose shifted span lies in the plane, and that shifted span;
     `edges` gives, per kernel column j with b != 0, the output columns the
-    shift carries across a row edge; `tails` lists, in (i, j) order, the
-    edge entries (oy, ox) that lie on x and their input rows and columns.
+    shift carries across a row edge.
     """
-    ho, wo = conv_out_hw((h, w), (kh, kw), stride, pad)
+    pad = k // 2
+    ho, wo = conv_out_hw((h, w), (k, k), stride, pad)
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv: kernel {kh}x{kw} larger than padded input {h}x{w}")
+        raise ShapeError(f"conv: empty input {h}x{w}")
     a0 = -pad // stride
-    rows = ho + (kh - 1 - pad) // stride - a0
+    rows = ho + (k - 1 - pad) // stride - a0
     phases = []
     for p in range(stride):
         hh = min((h - p + stride - 1) // stride, rows + a0)
@@ -143,26 +133,22 @@ def _phase_plan(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
     def edge(b):  # the output columns that a flat shift by b carries across a row edge
         return slice(0, min(-b, wo)) if b < 0 else slice(max(wo - b, 0), wo)
 
-    edges = [(j, edge((j - pad) // stride)) for j in range(kw) if (j - pad) // stride]
-    taps, tails = [], []
-    for i in range(kh):
+    edges = [(j, edge((j - pad) // stride)) for j in range(k) if (j - pad) // stride]
+    taps = []
+    for i in range(k):
         a, p = divmod(i - pad, stride)
-        oy, iy = _tap_span(i, pad, stride, h, 0, ho)
-        for j in range(kw):
+        for j in range(k):
             b, q = divmod(j - pad, stride)
             shift = (a - a0) * wo + b
             lo = min(max(-shift, 0), ho * wo)
             hi = max(min(rows * wo - shift, ho * wo), lo)
             taps.append((i, j, p, q, slice(lo, hi), slice(lo + shift, hi + shift)))
-            cut = edge(b)
-            ox, ix = _tap_span(j, pad, stride, w, cut.start, cut.stop)
-            if ox.start < ox.stop and oy.start < oy.stop:
-                tails.append((i, j, oy, ox, iy, ix))
-    return ho, wo, rows, phases, taps, edges, tails
+    return ho, wo, rows, phases, taps, edges
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Unfold (N,C,H,W) into patch columns of shape (N, C*kh*kw, Ho*Wo).
+def _im2col(x: np.ndarray, k: int, stride: int):
+    """Unfold (N,C,H,W) into patch columns of shape (N, C*k*k, Ho*Wo) for a
+    k x k kernel (k odd) at pad = k // 2.
 
     Tap (i, j) of output (oy, ox) reads x[s*oy + i - pad, s*ox + j - pad].
     With i - pad = s*a + p and j - pad = s*b + q (0 <= p, q < s) that is
@@ -174,57 +160,49 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     plane at the flat shift (a - a0)*Wo + b.
 
     A shift by b != 0 carries the tap's |b| edge columns across a row edge
-    (or past the buffer), so those entries are rewritten: zeroed, then
-    copied from x where they lie on it.  For b < 0 they lie left of x.  For
-    b > 0 they start at column s*Wo + q >= W whenever pad = k // 2 for an
-    odd k, as in every layer, so they stay zeros; only a smaller pad
-    reaches x there.
+    (or past the buffer), so those entries are zeroed.  For b < 0 they lie
+    left of x; for b > 0 they start at column s*Wo + q >= W, right of it.
     """
     n, c, h, w = x.shape
-    ho, wo, rows, phases, taps, edges, tails = _phase_plan(h, w, kh, kw, stride, pad)
+    ho, wo, rows, phases, taps, edges = _phase_plan(h, w, k, stride)
     planes = np.zeros((stride, stride, n, c, rows, wo), dtype=x.dtype)
     for x_idx, plane_idx in phases:
         planes[plane_idx] = x[x_idx]
     flat = planes.reshape(stride, stride, n, c, rows * wo)
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    cols5 = cols.reshape(n, c, kh, kw, ho * wo)
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    cols5 = cols.reshape(n, c, k, k, ho * wo)
     for i, j, p, q, span, shifted in taps:
         cols5[:, :, i, j, span] = flat[p, q, :, :, shifted]
     for j, edge in edges:
         cols[:, :, :, j, :, edge] = 0
-    for i, j, oy, ox, iy, ix in tails:
-        cols[:, :, i, j, oy, ox] = x[:, :, iy, ix]
-    return cols5.reshape(n, c * kh * kw, ho * wo), ho, wo
+    return cols5.reshape(n, c * k * k, ho * wo), ho, wo
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, k: int, stride: int) -> np.ndarray:
     """Adjoint of _im2col: fold patch columns back, summing overlaps.
     `cols` is overwritten.
 
-    Each tap adds into its stride-phase plane at the shift that _im2col
-    reads it from, by one flat contiguous add per (n, c) plane, into zeroed
-    planes and in (i, j) order; s*s strided copies then move the planes
-    into x.  Before that, each tap's edge columns (see _im2col) are added
-    into x where they lie on it (only for pad < k // 2, and then right of
-    every plane's last column) and zeroed in `cols`.  So every element of x
-    receives its taps' values through the same IEEE additions, in the same
-    order, as a zeroed padded buffer would.  The zeroed edge entries add
-    +0.0 to other elements; a sum that starts at +0.0 is never -0.0, so
-    those additions change no bit.
+    Each tap's edge columns (see _im2col), which lie off x, are zeroed in
+    `cols`.  Each tap then adds into its stride-phase plane at the shift
+    that _im2col reads it from, by one flat contiguous add per (n, c)
+    plane, into zeroed planes and in (i, j) order; s*s strided copies then
+    move the planes into x.  So every element of x receives its taps'
+    values through the same IEEE additions, in the same order, as a zeroed
+    padded buffer would.  The zeroed edge entries add +0.0 to other
+    elements; a sum that starts at +0.0 is never -0.0, so those additions
+    change no bit.
     """
     n, c, h, w = x_shape
-    ho, wo, rows, phases, taps, edges, tails = _phase_plan(h, w, kh, kw, stride, pad)
-    cols5 = cols.reshape(n, c, kh, kw, ho * wo)
-    cols = cols5.reshape(n, c, kh, kw, ho, wo)
-    x = np.zeros(x_shape, dtype=cols.dtype)
-    for i, j, oy, ox, iy, ix in tails:
-        x[:, :, iy, ix] += cols[:, :, i, j, oy, ox]
+    ho, wo, rows, phases, taps, edges = _phase_plan(h, w, k, stride)
+    cols5 = cols.reshape(n, c, k, k, ho * wo)
+    cols = cols5.reshape(n, c, k, k, ho, wo)
     for j, edge in edges:
         cols[:, :, :, j, :, edge] = 0
     flat = np.zeros((stride, stride, n, c, rows * wo), dtype=cols.dtype)
     for i, j, p, q, span, shifted in taps:
         flat[p, q, :, :, shifted] += cols5[:, :, i, j, span]
     planes = flat.reshape(stride, stride, n, c, rows, wo)
+    x = np.zeros(x_shape, dtype=cols.dtype)
     for x_idx, plane_idx in phases:
         x[x_idx] = planes[plane_idx]
     return x
@@ -256,8 +234,6 @@ def _conv_geometry(name: str, kernel, stride) -> tuple[tuple[int, int], int, int
 class Conv2d(Layer):
     """Strided 2D convolution, odd square kernel k, zero padding k//2 ("same" at stride 1)."""
 
-    kind = "conv"
-
     def __init__(self, in_ch, out_ch, kernel=(3, 3), stride=1, rng=None, name="conv", dtype=DTYPE):
         super().__init__(dtype)
         self.name = name
@@ -276,8 +252,7 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"{self.name}: expected (N,{self.in_ch},H,W), got {tuple(x.shape)} (axis 1 mismatch)"
             )
-        kh, kw = self.kernel
-        cols, ho, wo = _im2col(x, kh, kw, self.stride, self.pad)
+        cols, ho, wo = _im2col(x, self.kernel[0], self.stride)
         w_mat = self.params["weight"].reshape(self.out_ch, -1)
         y = np.matmul(w_mat[None], cols)  # (N, out_ch, Ho*Wo)
         y += self.params["bias"][None, :, None]
@@ -296,15 +271,12 @@ class Conv2d(Layer):
             return None
         w_mat = self.params["weight"].reshape(self.out_ch, -1)
         dcols = np.matmul(w_mat.T[None], dy_mat)
-        kh, kw = self.kernel
-        return _col2im(dcols, x_shape, kh, kw, self.stride, self.pad)
+        return _col2im(dcols, x_shape, self.kernel[0], self.stride)
 
 
 class Deconv2d(Layer):
     """Transposed convolution; the target output H,W is fixed at build time
     so decoder stacks can mirror encoder shapes exactly."""
-
-    kind = "deconv"
 
     def __init__(self, in_ch, out_ch, out_hw, kernel=(3, 3), stride=1, rng=None, name="deconv", dtype=DTYPE):
         super().__init__(dtype)
@@ -337,11 +309,10 @@ class Deconv2d(Layer):
             )
         self._check_geometry(x.shape[2:])
         n = x.shape[0]
-        kh, kw = self.kernel
-        w_mat = self.params["weight"].reshape(self.in_ch, -1)  # (in_ch, out_ch*kh*kw)
+        w_mat = self.params["weight"].reshape(self.in_ch, -1)  # (in_ch, out_ch*k*k)
         x_mat = x.reshape(n, self.in_ch, -1)
-        cols = np.matmul(w_mat.T[None], x_mat)  # (N, out_ch*kh*kw, Hi*Wi)
-        y = _col2im(cols, (n, self.out_ch, *self.out_hw), kh, kw, self.stride, self.pad)
+        cols = np.matmul(w_mat.T[None], x_mat)  # (N, out_ch*k*k, Hi*Wi)
+        y = _col2im(cols, (n, self.out_ch, *self.out_hw), self.kernel[0], self.stride)
         y += self.params["bias"][None, :, None, None]
         self._cache = (x,)
         return y
@@ -349,8 +320,7 @@ class Deconv2d(Layer):
     def backward(self, dy, input_grad=True):
         (x,) = self._take_cache()
         n = x.shape[0]
-        kh, kw = self.kernel
-        cols_dy, ho, wo = _im2col(dy, kh, kw, self.stride, self.pad)
+        cols_dy, ho, wo = _im2col(dy, self.kernel[0], self.stride)
         x_mat = x.reshape(n, self.in_ch, -1)
         self.grads["weight"] += np.matmul(x_mat, cols_dy.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.params["weight"].shape
@@ -363,8 +333,6 @@ class Deconv2d(Layer):
 
 
 class Dense(Layer):
-    kind = "dense"
-
     def __init__(self, in_dim, out_dim, rng=None, name="dense", dtype=DTYPE):
         super().__init__(dtype)
         self.name = name
@@ -393,8 +361,6 @@ class Dense(Layer):
 
 class Activation(Layer):
     """Elementwise nonlinearity: lrelu | sigmoid | tanh | linear."""
-
-    kind = "activation"
 
     def __init__(self, fn="lrelu", slope=0.1, name=None, dtype=DTYPE):
         super().__init__(dtype)
@@ -438,8 +404,6 @@ class Activation(Layer):
 
 
 class Flatten(Layer):
-    kind = "flatten"
-
     def __init__(self, name="flatten", dtype=DTYPE):
         super().__init__(dtype)
         self.name = name
@@ -454,8 +418,6 @@ class Flatten(Layer):
 
 
 class Reshape(Layer):
-    kind = "reshape"
-
     def __init__(self, target, name="reshape", dtype=DTYPE):
         super().__init__(dtype)
         self.name = name
@@ -487,8 +449,6 @@ class GRUCell(Layer):
     internal stack, so an unrolled sequence of 2-D rows is backpropagated
     by calling backward() in reverse step order; without keep it caches
     nothing."""
-
-    kind = "gru"
 
     def __init__(self, in_dim, hidden, rng=None, name="gru", dtype=DTYPE):
         super().__init__(dtype)

@@ -1,9 +1,10 @@
 """Model base and the minibatch-Adam fit loop shared by every trained model.
 
 A Model keeps its layers in one ordered list.  Parameters, gradients and
-checkpoint entries are named '<layer.name>.<key>' in that order, so Adam,
+checkpoint arrays are named '<layer.name>.<key>' in that order, so Adam,
 the gradient checker and the checkpoint all see the same arrays in the
-same order.
+same order.  A checkpoint is a file of the package's one container (see
+container.py) whose meta block holds the model kind and its config.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..container import load_arrays, save_arrays
 from ..errors import CheckpointError, TrainingError
 from .adam import AdamState, adam_step
-from .checkpoint import Entry, load_checkpoint, save_checkpoint
 
 
 class Model:
@@ -55,31 +56,29 @@ class Model:
             layer.drop_cache()
 
     def save(self, path, extra_meta: dict | None = None) -> None:
-        entries = {f"{layer.name}.{key}": Entry(layer.kind, layer.stride, arr)
-                   for layer in self._layers for key, arr in layer.params.items()}
         meta = {"kind": self.kind, "config": asdict(self.cfg), **(extra_meta or {})}
-        save_checkpoint(path, entries, meta)
+        save_arrays(path, self.params(), meta)
 
     @classmethod
     def load(cls, path):
         """Rebuild the model from its stored config and copy every parameter
         in; CheckpointError for another kind, a config this code does not
         know, a missing parameter or a shape mismatch."""
-        meta, entries = load_checkpoint(path)
+        meta, arrays = load_arrays(path, CheckpointError)
         if meta.get("kind") != cls.kind:
             raise CheckpointError(f"{path}: a {meta.get('kind')!r} checkpoint, "
                                   f"not {cls.kind!r}")
-        raw = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()}
         try:
+            raw = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()}
             model = cls(cls.config_type(**raw), seed=0)
-        except TypeError as exc:  # a config field this version does not have
+        except (KeyError, AttributeError, TypeError) as exc:  # no config, or a foreign field
             raise CheckpointError(f"{path}: config does not fit: {exc}") from exc
         for name, arr in model.params().items():
-            if name not in entries:
+            if name not in arrays:
                 raise CheckpointError(f"{path}: missing parameter {name!r}")
-            if entries[name].array.shape != arr.shape:
+            if arrays[name].shape != arr.shape:
                 raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-            arr[...] = entries[name].array
+            arr[...] = arrays[name]
         return model
 
 

@@ -42,6 +42,10 @@ class LibraryConfig:
     def __post_init__(self):
         if self.n_steer < 1 or self.n_vertical < 1 or not self.speeds:
             raise PlannerError("library grids must be non-empty")
+        if self.horizon < 1:
+            raise PlannerError(f"library horizon must be >= 1, got {self.horizon}")
+        if not all(np.isfinite(v) and v > 0 for v in self.speeds):
+            raise PlannerError(f"library speeds must be finite and > 0, got {self.speeds}")
 
 
 @dataclass

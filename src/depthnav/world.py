@@ -24,12 +24,11 @@ first colliding substate.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import load_arrays, save_arrays
 from .errors import WorldError
 
 ACTION_DIM = 4
@@ -37,9 +36,6 @@ PARTIAL_STATE_DIM = 6
 
 GRAVITY = 9.81
 SUBSTEPS = 5  # integration substeps per control interval
-
-WORLD_MAGIC = b"WRLD"
-WORLD_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +141,8 @@ class WorldGenParams:
     def __post_init__(self):
         if not all(math.isfinite(r) and r > 0 for r in self.radii):
             raise WorldError(f"poisson radii must be finite and > 0, got {self.radii}")
+        if not (math.isfinite(self.section_size) and self.section_size > 0):
+            raise WorldError(f"section_size must be finite and > 0, got {self.section_size}")
 
     @property
     def course_length(self) -> float:
@@ -631,43 +629,34 @@ def find_free_start(world: World, rng: np.random.Generator, x_range, y_range, z:
 
 
 # ---------------------------------------------------------------------------
-# World file container
+# World files
 # ---------------------------------------------------------------------------
 
 def save_world(path, world: World) -> None:
-    parts = [WORLD_MAGIC, struct.pack("<I", WORLD_VERSION)]
-    parts.append(struct.pack("<4d", *world.bounds))
-    parts.append(struct.pack("<d", world.ceiling))
-    for table in (world.cylinders, world.boxes):
-        arr = np.ascontiguousarray(table, dtype="<f8")
-        parts.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        parts.append(arr.tobytes())
-    blob = b"".join(parts)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    save_arrays(path, {"cylinders": world.cylinders, "boxes": world.boxes},
+                {"kind": "world", "bounds": [float(v) for v in world.bounds],
+                 "ceiling": float(world.ceiling)})
 
 
 def load_world(path) -> World:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != WORLD_MAGIC:
-        raise WorldError(f"{path}: not a world file")
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != struct.unpack("<I", blob[-4:])[0]:
-        raise WorldError(f"{path}: CRC mismatch")
-    off = 4
-    (version,) = struct.unpack_from("<I", blob, off); off += 4
-    if version != WORLD_VERSION:
-        raise WorldError(f"{path}: unsupported world version {version}")
-    bounds = struct.unpack_from("<4d", blob, off); off += 32
-    (ceiling,) = struct.unpack_from("<d", blob, off); off += 8
-    tables = []
-    for _ in range(2):
-        n, width = struct.unpack_from("<II", blob, off); off += 8
-        arr = np.frombuffer(blob, dtype="<f8", count=n * width, offset=off).reshape(n, width).copy()
-        off += 8 * n * width
-        tables.append(arr)
-    return World(cylinders=tables[0], boxes=tables[1], bounds=tuple(bounds), ceiling=ceiling)
+    """WorldError for a file of another kind, a table that is not (N, 5)
+    cylinders and (N, 7) boxes, or a non-finite table, bound or ceiling."""
+    meta, arrays = load_arrays(path, WorldError)
+    if meta.get("kind") != "world":
+        raise WorldError(f"{path}: a {meta.get('kind')!r} file, not a world")
+    for name, width in (("cylinders", 5), ("boxes", 7)):
+        shape = getattr(arrays.get(name), "shape", None)
+        if shape is None or len(shape) != 2 or shape[1] != width:
+            raise WorldError(f"{path}: {name} must be an (N, {width}) table, got {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise WorldError(f"{path}: non-finite {name} table")
+    try:
+        bounds, ceiling = tuple(map(float, meta["bounds"])), float(meta["ceiling"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WorldError(f"{path}: bad bounds or ceiling ({exc})") from exc
+    if len(bounds) != 4 or not all(map(math.isfinite, (*bounds, ceiling))):
+        raise WorldError(f"{path}: bounds need 4 finite values and a finite ceiling")
+    return World(arrays["cylinders"], arrays["boxes"], bounds, ceiling)
 
 
 def world_summary(world: World) -> str:

@@ -413,6 +413,14 @@ class TestDownsample:
         with pytest.raises(ShapeError, match="upsample"):
             downsample(frame, (8, 8))
 
+    @pytest.mark.parametrize("target", [(0, 0), (0, 2), (2, 0), (-1, 2)])
+    def test_empty_target_rejected(self, target):
+        # (0, 0) used to die with ZeroDivisionError
+        frame = DepthFrame(np.zeros((4, 4), np.float32), np.zeros((4, 4), np.uint8),
+                           np.zeros((4, 4), np.uint16))
+        with pytest.raises(ShapeError, match="at least 1x1"):
+            downsample(frame, target)
+
     def test_non_integer_ratio_uses_nearest_neighbor(self):
         rng = np.random.default_rng(2)
         x = rng.random((10, 9)).astype(np.float32)

@@ -56,7 +56,9 @@ def test_full_pipeline_chain_micro_scale(micro, capsys):
     assert main(["export-frames", str(out / "vae_frames_noisy.dset"),
                  "--out", str(out / "pgm")]) == 0
     captured = capsys.readouterr()
-    assert "kind: cold" in captured.out
+    from depthnav.data import load_dataset
+    assert "kind: cold" in captured.out.splitlines()
+    assert f"count: {len(load_dataset(out / 'collisions_clean.dset'))}" in captured.out.splitlines()
     assert (out / "campaign.csv").exists()
     assert (out / "recon_report.csv").exists()
     assert len(list((out / "pgm").glob("*.pgm"))) == 36  # 12 frames x 3 files
@@ -84,6 +86,17 @@ def test_missing_dataset_gives_machine_readable_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: DatasetError:")
+
+
+def test_export_frames_of_a_world_file_gives_one_error_line(micro, capsys):
+    ini, out = micro
+    assert main(["gen-world", "--config", str(ini), "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["export-frames", str(out / "world.bin"), "--out", str(out / "pgm")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
+    assert "'world' file, not a dataset" in err[0]
+    assert not (out / "pgm").exists()
 
 
 def test_zero_batch_size_gives_one_error_line(micro, capsys):

@@ -257,6 +257,16 @@ def test_bad_lrelu_slope_rejected():
                 CollisionPredictor(CpnConfig(variant=variant, lrelu_slope=slope))
 
 
+@pytest.mark.parametrize("field,bad", [("latent_dim", 0), ("state_dim", 0), ("action_dim", -1),
+                                       ("hidden", 0), ("perception_embed", 0), ("state_embed", 0),
+                                       ("action_embed", 0), ("image_hw", (0, 80)),
+                                       ("e2e_channels", (4, 0, 16))])
+def test_zero_width_config_rejected(field, bad):
+    # hidden = 0 used to die with ZeroDivisionError inside GRUCell
+    with pytest.raises(ShapeError, match=">= 1"):
+        CpnConfig(**{field: bad})
+
+
 def test_dimension_mismatch_rejected():
     model = CollisionPredictor(TINY, seed=0)
     with pytest.raises(ShapeError):
@@ -356,8 +366,8 @@ def test_training_run_bit_identical(variant):
 
 # sha256 of the checkpoints seeded training runs write, one per variant
 CHECKPOINT_GOLDEN = {
-    "cpn_modular.ckpt": "d350714a8cf49d9f03a28e4c5b320c3517ee42feea9394f1081b988ae39bb664",
-    "cpn_end_to_end.ckpt": "6812eac318e7f6cb9e269b1e1afea6a5be5eeec2d08e804fcb7a9387b4884ac7",
+    "cpn_modular.ckpt": "3c0a4ac4ab1d8936e024219d1fe95fc9f05fdbc049d043d48d49133b95215a88",
+    "cpn_end_to_end.ckpt": "052dfc7f4ae31b612e1eb972ff41e434b86bfcbd840877a882c97f1b3747b2f4",
 }
 
 

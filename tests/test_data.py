@@ -263,6 +263,21 @@ class TestContainers:
         with pytest.raises(DatasetError, match="CRC"):
             load_dataset(path)
 
+    def test_arrays_that_do_not_make_the_kind_rejected(self, tmp_path):
+        from depthnav.container import save_arrays
+
+        frames = {"x": np.zeros((2, 3, 4), np.float32), "valid": np.ones((2, 3, 4), np.uint8),
+                  "seg": np.zeros((2, 3, 4), np.uint16)}
+        meta = {"kind": "vaef", "height": 3, "width": 4, "latent_dim": 0, "horizon": 0,
+                "count": 2}
+        path = tmp_path / "f.dset"
+        for arrays, count in [({"x": frames["x"], "valid": frames["valid"]}, 2),
+                              ({**frames, "mu": np.zeros((2, 5), np.float32)}, 2),
+                              (frames, 3)]:
+            save_arrays(path, arrays, {**meta, "count": count})
+            with pytest.raises(DatasetError, match="do not make a vaef dataset"):
+                load_dataset(path)
+
 
 class TestPgmImport:
     def _frames(self, n=5, quantized=True):

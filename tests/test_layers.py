@@ -382,21 +382,17 @@ def _padded_col2im(cols, x_shape, kh, kw, stride, pad):
 def test_unfold_and_fold_bit_identical_to_padded_reference(dtype, k, stride, hw):
     # stride 3 leaves some phase planes without a tap when k is 1 or 3
     rng = np.random.default_rng(k * 10 + stride)
+    pad = k // 2  # the pad of every Conv2d and Deconv2d
     for nc in [(3, 2), (8, 5)]:
         x = rng.normal(size=(*nc, *hw)).astype(dtype)
         x.flat[::3] = -0.0
-        for pad in sorted({0, k // 2}):
-            if min(hw) + 2 * pad < k:
-                with pytest.raises(ShapeError):
-                    _im2col(x, k, k, stride, pad)
-                continue
-            cols, ho, wo = _im2col(x, k, k, stride, pad)
-            assert (ho, wo) == conv_out_hw(hw, (k, k), stride, pad)
-            ref_cols = _padded_im2col(x, k, k, stride, pad)
-            assert np.signbit(ref_cols[ref_cols == 0]).any()  # the sign bit must be copied
-            assert cols.dtype == dtype and cols.tobytes() == ref_cols.tobytes()
-            dcols = rng.normal(size=cols.shape).astype(dtype)
-            dcols.flat[::3] = -0.0
-            ref = _padded_col2im(dcols, x.shape, k, k, stride, pad)
-            folded = _col2im(dcols.copy(), x.shape, k, k, stride, pad)  # it overwrites cols
-            assert folded.shape == x.shape and folded.tobytes() == ref.tobytes()
+        cols, ho, wo = _im2col(x, k, stride)
+        assert (ho, wo) == conv_out_hw(hw, (k, k), stride, pad)
+        ref_cols = _padded_im2col(x, k, k, stride, pad)
+        assert np.signbit(ref_cols[ref_cols == 0]).any()  # the sign bit must be copied
+        assert cols.dtype == dtype and cols.tobytes() == ref_cols.tobytes()
+        dcols = rng.normal(size=cols.shape).astype(dtype)
+        dcols.flat[::3] = -0.0
+        ref = _padded_col2im(dcols, x.shape, k, k, stride, pad)
+        folded = _col2im(dcols.copy(), x.shape, k, stride)  # it overwrites cols
+        assert folded.shape == x.shape and folded.tobytes() == ref.tobytes()

@@ -183,12 +183,12 @@ def test_encode_batch_bit_identical():
 
 
 # sha256 of the files a seeded training run writes: the checkpoint bytes
-# (parameters, layer table, meta block) and the per-epoch loss CSV.
+# (parameters, array table, meta block) and the per-epoch loss CSV.
 # p_min = 4 lets the toy frames' 8-pixel instances get semantic weight.
 OUT_DIR_GOLDEN = {
-    "sevae.ckpt": "2537680ab22ef504d911b9a159ed56f12c00a301e5095697a36ca8a8ee1009fa",
+    "sevae.ckpt": "e113a42ba8df6ff158f7b7505a4ef7708329fe8c220bc6db5e6a2ef74e7aaba0",
     "sevae_losses.csv": "d59eb1c2d266191e213e93176b54c5527cc18bfbda60b3319b5436400151c735",
-    "vanilla_vae.ckpt": "d51f51ca2cf2fcca2c8550245e06e02444d0ba22c62c7e9d1d2e39632da64282",
+    "vanilla_vae.ckpt": "cbca75d705868dd0deda1f89aa5922a4054e6144258c1db4aab4c5ee021d9897",
     "vanilla_vae_losses.csv": "7774568a21e14562441d562c0b3eff67f2e5bb17d67baa58ee01bd75ee14d892",
 }
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from depthnav.container import save_arrays
 from depthnav.errors import WorldError
 from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
@@ -192,6 +193,31 @@ class TestWorldGen:
         text = world_summary(world)
         assert "thin" in text and "obstacles" in text
 
+    @pytest.mark.parametrize("cylinders,boxes,match", [
+        (np.ones((3, 7)), np.ones((1, 7)), r"cylinders must be an \(N, 5\) table, got \(3, 7\)"),
+        (np.ones(5), np.ones((1, 7)), r"cylinders must be an \(N, 5\) table"),
+        (np.ones((2, 5)), np.ones((1, 5)), r"boxes must be an \(N, 7\) table"),
+        (np.full((2, 5), np.nan), np.ones((1, 7)), "non-finite cylinders"),
+        (np.ones((2, 5)), np.full((1, 7), np.inf), "non-finite boxes"),
+        (np.ones((2, 5)), None, r"boxes must be an \(N, 7\) table, got None"),
+    ])
+    def test_bad_table_in_a_valid_file_rejected(self, tmp_path, cylinders, boxes, match):
+        arrays = {"cylinders": cylinders} if boxes is None else \
+            {"cylinders": cylinders, "boxes": boxes}
+        save_arrays(tmp_path / "w.bin", arrays,
+                    {"kind": "world", "bounds": [0.0, 0.0, 3.0, 1.0], "ceiling": 4.0})
+        with pytest.raises(WorldError, match=match):
+            load_world(tmp_path / "w.bin")
+
+    @pytest.mark.parametrize("bounds,ceiling", [([0.0, 0.0, 3.0], 4.0), ([0.0, 0.0, 3.0, "x"], 4.0),
+                                                ([0.0, 0.0, 3.0, 1.0], float("nan")),
+                                                (None, 4.0)])
+    def test_bad_bounds_in_a_valid_file_rejected(self, tmp_path, bounds, ceiling):
+        save_arrays(tmp_path / "w.bin", {"cylinders": np.ones((2, 5)), "boxes": np.ones((1, 7))},
+                    {"kind": "world", "bounds": bounds, "ceiling": ceiling})
+        with pytest.raises(WorldError, match="bounds"):
+            load_world(tmp_path / "w.bin")
+
     def test_paper_scale_params(self):
         params = paper_world_params("dense", seed=0)
         assert params.radii == (6.0, 6.0, 3.0, 2.5)
@@ -201,6 +227,12 @@ class TestWorldGen:
     def test_non_finite_or_non_positive_radius_rejected(self, bad):
         with pytest.raises(WorldError, match="radii"):
             WorldGenParams(radii=(1.0, bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -15.0])
+    def test_non_finite_or_non_positive_section_size_rejected(self, bad):
+        # a zero section used to give an empty world with zero-size bounds
+        with pytest.raises(WorldError, match="section_size"):
+            WorldGenParams(radii=(1.0, 1.0, 1.0, 1.0), section_size=bad)
 
     @pytest.mark.parametrize("params_fn", [desk_world_params, paper_world_params])
     def test_unknown_environment_rejected(self, params_fn):
