@@ -15,7 +15,7 @@ convention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,9 +278,7 @@ class NoiseParams:
     seed: int = 0
 
     def with_seed(self, seed: int) -> "NoiseParams":
-        return NoiseParams(self.blob_count_mean, self.blob_radius, self.shadow_disp_jump,
-                           self.shadow_band, self.thin_dropout_near, self.thin_dropout_far,
-                           self.quant_step, seed)
+        return replace(self, seed=seed)
 
 
 def clean_noise_params() -> NoiseParams:

@@ -8,7 +8,7 @@ docs/example-config.ini for the annotated reference.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -16,7 +16,9 @@ from .camera import CameraModel, NoiseParams, paper_camera
 from .errors import ConfigError
 from .planner import LibraryConfig, PlannerConfig
 from .vae import VaeConfig, paper_vae_config
-from .world import DynamicsParams
+from .world import DynamicsParams, desk_world_params, paper_world_params
+
+ENVIRONMENTS = ("sparse", "medium", "dense")
 
 
 @dataclass
@@ -42,7 +44,7 @@ class DatasetSettings:
 class CampaignSettings:
     runs: int = 20
     base_seed: int = 1000
-    environments: tuple[str, ...] = ("sparse", "medium", "dense")
+    environments: tuple[str, ...] = ENVIRONMENTS
 
 
 @dataclass
@@ -61,30 +63,45 @@ class AppConfig:
     campaign: CampaignSettings = field(default_factory=CampaignSettings)
 
 
-_SCHEMA = {
-    "run": {"scale", "environment", "dt"},
-    "camera": {"height", "width", "fov_h_deg", "fov_v_deg", "max_range", "min_range"},
-    "noise": {"blob_count_mean", "blob_radius_min", "blob_radius_max", "shadow_disp_jump",
-              "shadow_band", "thin_dropout_near", "thin_dropout_far", "quant_step"},
-    "vae": {"latent_dim", "beta", "w_const", "nu_min", "p_min", "hidden"},
-    "dynamics": {"tau_v", "tau_yaw", "omega_max", "v_max", "collision_radius"},
-    "planner": {"threshold", "fallback_speed_scale", "max_cycles",
-                "n_steer", "n_vertical", "speed", "fov_margin"},
-    "train": {"vae_epochs", "vae_lr", "vae_batch", "cpn_epochs", "cpn_lr", "cpn_batch",
-              "e2e_epochs"},
-    "dataset": {"vae_frames", "episodes", "horizon", "max_steps"},
-    "campaign": {"runs", "base_seed", "environments"},
+# Every INI key, by section.  A key named after a field of its section's
+# config object takes that field's type and default; load_config converts
+# the rest (degrees, the blob radius pair, the one speed, the environments).
+KEYS = {
+    "run": ("scale", "environment", "dt"),
+    "camera": ("height", "width", "fov_h_deg", "fov_v_deg", "max_range", "min_range"),
+    "noise": ("blob_count_mean", "blob_radius_min", "blob_radius_max", "shadow_disp_jump",
+              "shadow_band", "thin_dropout_near", "thin_dropout_far", "quant_step"),
+    "vae": ("latent_dim", "beta", "w_const", "nu_min", "p_min", "hidden"),
+    "dynamics": ("tau_v", "tau_yaw", "omega_max", "v_max", "collision_radius"),
+    "planner": ("threshold", "fallback_speed_scale", "max_cycles",
+                "n_steer", "n_vertical", "speed", "fov_margin"),
+    "train": ("vae_epochs", "vae_lr", "vae_batch", "cpn_epochs", "cpn_lr", "cpn_batch",
+              "e2e_epochs"),
+    "dataset": ("vae_frames", "episodes", "horizon", "max_steps"),
+    "campaign": ("runs", "base_seed", "environments"),
 }
 
 
-def _get(parser, section, key, cast, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
+def _given(parser, section, *defaults) -> dict:
+    """The keys of `section` the file sets, each cast like the first default's
+    field of that name (float if none has one, str for the environment list)."""
+    out = {}
+    for key in KEYS[section]:
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            cast = str if key == "environments" else type(next(
+                (getattr(d, key) for d in defaults if hasattr(d, key)), 0.0))
+            try:
+                out[key] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return out
+
+
+def _updated(obj, values: dict, **derived):
+    """`obj` with its fields named in `values` replaced, then `derived`."""
+    names = {f.name for f in fields(obj)}
+    return replace(obj, **{**{k: v for k, v in values.items() if k in names}, **derived})
 
 
 def load_config(path=None) -> AppConfig:
@@ -92,112 +109,52 @@ def load_config(path=None) -> AppConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser.options(section)) - _SCHEMA[section]
+        unknown = set(parser.options(section)) - set(KEYS[section])
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
 
-    scale = _get(parser, "run", "scale", str, cfg.scale)
-    if scale not in ("desk", "paper"):
-        raise ConfigError(f"[run] scale must be desk or paper, got {scale!r}")
-    env = _get(parser, "run", "environment", str, cfg.environment)
-    if env not in ("sparse", "medium", "dense"):
-        raise ConfigError(f"[run] environment must be sparse/medium/dense, got {env!r}")
-    dt = _get(parser, "run", "dt", float, cfg.dt)
-    horizon = _get(parser, "dataset", "horizon", int, cfg.dataset.horizon)
-    if horizon < 1:
-        raise ConfigError(f"[dataset] horizon must be >= 1, got {horizon}")
+    run = _given(parser, "run", cfg)
+    if run.get("scale", cfg.scale) not in ("desk", "paper"):
+        raise ConfigError(f"[run] scale must be desk or paper, got {run['scale']!r}")
+    if run.get("environment", cfg.environment) not in ENVIRONMENTS:
+        raise ConfigError(f"[run] environment must be sparse/medium/dense, "
+                          f"got {run['environment']!r}")
+    dataset = _updated(cfg.dataset, _given(parser, "dataset", cfg.dataset))
+    if dataset.horizon < 1:
+        raise ConfigError(f"[dataset] horizon must be >= 1, got {dataset.horizon}")
 
-    paper = scale == "paper"
-    cam_default = paper_camera() if paper else CameraModel()
-    vae_default = paper_vae_config() if paper else VaeConfig()
-
-    camera = CameraModel(
-        height=_get(parser, "camera", "height", int, cam_default.height),
-        width=_get(parser, "camera", "width", int, cam_default.width),
-        fov_h=np.deg2rad(_get(parser, "camera", "fov_h_deg", float, np.rad2deg(cam_default.fov_h))),
-        fov_v=np.deg2rad(_get(parser, "camera", "fov_v_deg", float, np.rad2deg(cam_default.fov_v))),
-        max_range=_get(parser, "camera", "max_range", float, cam_default.max_range),
-        min_range=_get(parser, "camera", "min_range", float, cam_default.min_range),
-    )
-    nd = NoiseParams()
-    noise = NoiseParams(
-        blob_count_mean=_get(parser, "noise", "blob_count_mean", float, nd.blob_count_mean),
-        blob_radius=(_get(parser, "noise", "blob_radius_min", float, nd.blob_radius[0]),
-                     _get(parser, "noise", "blob_radius_max", float, nd.blob_radius[1])),
-        shadow_disp_jump=_get(parser, "noise", "shadow_disp_jump", float, nd.shadow_disp_jump),
-        shadow_band=_get(parser, "noise", "shadow_band", int, nd.shadow_band),
-        thin_dropout_near=_get(parser, "noise", "thin_dropout_near", float, nd.thin_dropout_near),
-        thin_dropout_far=_get(parser, "noise", "thin_dropout_far", float, nd.thin_dropout_far),
-        quant_step=_get(parser, "noise", "quant_step", float, nd.quant_step),
-    )
-    vae = VaeConfig(
-        height=camera.height, width=camera.width,
-        latent_dim=_get(parser, "vae", "latent_dim", int, vae_default.latent_dim),
-        beta=_get(parser, "vae", "beta", float, vae_default.beta),
-        w_const=_get(parser, "vae", "w_const", float, vae_default.w_const),
-        nu_min=_get(parser, "vae", "nu_min", float, vae_default.nu_min),
-        p_min=_get(parser, "vae", "p_min", int, vae_default.p_min),
-        hidden=_get(parser, "vae", "hidden", int, vae_default.hidden),
-    )
-    dyn = DynamicsParams(
-        tau_v=_get(parser, "dynamics", "tau_v", float, cfg.dynamics.tau_v),
-        tau_yaw=_get(parser, "dynamics", "tau_yaw", float, cfg.dynamics.tau_yaw),
-        omega_max=_get(parser, "dynamics", "omega_max", float, cfg.dynamics.omega_max),
-        v_max=_get(parser, "dynamics", "v_max", float, cfg.dynamics.v_max),
-        collision_radius=_get(parser, "dynamics", "collision_radius", float,
-                              cfg.dynamics.collision_radius),
-    )
-    planner = PlannerConfig(
-        threshold=_get(parser, "planner", "threshold", float, cfg.planner.threshold),
-        fallback_speed_scale=_get(parser, "planner", "fallback_speed_scale", float,
-                                  cfg.planner.fallback_speed_scale),
-        max_cycles=_get(parser, "planner", "max_cycles", int, cfg.planner.max_cycles),
-    )
-    library = LibraryConfig(
-        n_steer=_get(parser, "planner", "n_steer", int, cfg.library.n_steer),
-        n_vertical=_get(parser, "planner", "n_vertical", int, cfg.library.n_vertical),
-        speeds=(_get(parser, "planner", "speed", float, cfg.library.speeds[0]),),
-        fov_h=camera.fov_h,
-        fov_v=camera.fov_v,
-        horizon=horizon,
-        fov_margin=_get(parser, "planner", "fov_margin", float, cfg.library.fov_margin),
-    )
-    train = TrainSettings(
-        vae_epochs=_get(parser, "train", "vae_epochs", int, cfg.train.vae_epochs),
-        vae_lr=_get(parser, "train", "vae_lr", float, cfg.train.vae_lr),
-        vae_batch=_get(parser, "train", "vae_batch", int, cfg.train.vae_batch),
-        cpn_epochs=_get(parser, "train", "cpn_epochs", int, cfg.train.cpn_epochs),
-        cpn_lr=_get(parser, "train", "cpn_lr", float, cfg.train.cpn_lr),
-        cpn_batch=_get(parser, "train", "cpn_batch", int, cfg.train.cpn_batch),
-        e2e_epochs=_get(parser, "train", "e2e_epochs", int, cfg.train.e2e_epochs),
-    )
-    dataset = DatasetSettings(
-        vae_frames=_get(parser, "dataset", "vae_frames", int, cfg.dataset.vae_frames),
-        episodes=_get(parser, "dataset", "episodes", int, cfg.dataset.episodes),
-        horizon=horizon,
-        max_steps=_get(parser, "dataset", "max_steps", int, cfg.dataset.max_steps),
-    )
-    env_list = tuple(_get(parser, "campaign", "environments", str,
-                          " ".join(cfg.campaign.environments)).split())
-    for name in env_list:
-        if name not in ("sparse", "medium", "dense"):
+    paper = run.get("scale") == "paper"
+    cam = _given(parser, "camera", cfg.camera)
+    camera = _updated(paper_camera() if paper else cfg.camera, cam, **{
+        fov: np.deg2rad(cam[key]) for fov, key in (("fov_h", "fov_h_deg"), ("fov_v", "fov_v_deg"))
+        if key in cam})
+    noise = _given(parser, "noise", cfg.noise)
+    noise = _updated(cfg.noise, noise, blob_radius=(
+        noise.get("blob_radius_min", cfg.noise.blob_radius[0]),
+        noise.get("blob_radius_max", cfg.noise.blob_radius[1])))
+    vae = _updated(paper_vae_config() if paper else cfg.vae, _given(parser, "vae", cfg.vae),
+                   height=camera.height, width=camera.width)
+    dynamics = _updated(cfg.dynamics, _given(parser, "dynamics", cfg.dynamics))
+    plan = _given(parser, "planner", cfg.planner, cfg.library)
+    planner = _updated(cfg.planner, plan)
+    library = _updated(cfg.library, plan, speeds=(plan.get("speed", cfg.library.speeds[0]),),
+                       fov_h=camera.fov_h, fov_v=camera.fov_v, horizon=dataset.horizon)
+    train = _updated(cfg.train, _given(parser, "train", cfg.train))
+    envs = _given(parser, "campaign", cfg.campaign)
+    campaign = _updated(cfg.campaign, envs, environments=tuple(
+        envs.get("environments", " ".join(cfg.campaign.environments)).split()))
+    for name in campaign.environments:
+        if name not in ENVIRONMENTS:
             raise ConfigError(f"[campaign] unknown environment {name!r}")
-    campaign = CampaignSettings(
-        runs=_get(parser, "campaign", "runs", int, cfg.campaign.runs),
-        base_seed=_get(parser, "campaign", "base_seed", int, cfg.campaign.base_seed),
-        environments=env_list,
-    )
-    return AppConfig(scale=scale, environment=env, camera=camera, noise=noise, vae=vae,
-                     dynamics=dyn, planner=planner, library=library, dt=dt, train=train,
-                     dataset=dataset, campaign=campaign)
+    return _updated(cfg, run, camera=camera, noise=noise, vae=vae, dynamics=dynamics,
+                    planner=planner, library=library, train=train, dataset=dataset,
+                    campaign=campaign)
 
 
 def world_params_fn(cfg: AppConfig):
-    from .world import desk_world_params, paper_world_params
     return paper_world_params if cfg.scale == "paper" else desk_world_params

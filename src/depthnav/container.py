@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -29,6 +30,7 @@ MAGIC = b"DNAV"
 VERSION = 1
 DTYPES = ("<f4", "<f8", "|u1", "<u2")  # the dtypes a file may hold
 _PREFIX = struct.Struct("<4sII")       # magic, version, head_len
+_CHUNK = 1 << 20                       # bytes per read of the CRC pass
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -72,32 +74,54 @@ def _head(blob: bytes, path, error) -> tuple[dict, list, int]:
     return meta, table, end
 
 
+def _read_head(fh, path, error) -> tuple[dict, list, int]:
+    """_head of a file open at its start; leaves it open just past the head.
+    A head length past the end of the file reads no more than the file."""
+    prefix = fh.read(_PREFIX.size)
+    head_len = _PREFIX.unpack(prefix)[2] if len(prefix) == _PREFIX.size else 0
+    head_len = min(head_len, os.fstat(fh.fileno()).st_size)
+    return _head(prefix + fh.read(head_len), path, error)
+
+
 def read_meta(path, error) -> dict:
     """The meta block alone, read from the head without the payload (so
     the CRC is not checked)."""
     with open(path, "rb") as fh:
-        prefix = fh.read(_PREFIX.size)
-        head_len = _PREFIX.unpack(prefix)[2] if len(prefix) == _PREFIX.size else 0
-        blob = prefix + fh.read(head_len)
-    return _head(blob, path, error)[0]
+        return _read_head(fh, path, error)[0]
+
+
+def _crc_ok(fh, size: int) -> bool:
+    """Whether the file's last 4 bytes are the CRC32 of the bytes before
+    them, streamed through one fixed-size buffer."""
+    buf = memoryview(bytearray(_CHUNK))
+    crc, left = 0, size - 4
+    while left:
+        n = fh.readinto(buf[:min(left, _CHUNK)])
+        if not n:
+            return False
+        crc, left = zlib.crc32(buf[:n], crc), left - n
+    return fh.read(4) == struct.pack("<I", crc)
 
 
 def load_arrays(path, error) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, name -> array) of a file whose CRC checks out."""
+    """(meta, name -> array) of a file whose CRC checks out.  The CRC pass
+    streams the file; each array is then read straight into its own buffer,
+    so the peak memory is about the payload size."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise error(f"{path}: not a depthnav file (bad magic)")
-    if len(blob) < _PREFIX.size + 4 or \
-            zlib.crc32(memoryview(blob)[:-4]) != struct.unpack("<I", blob[-4:])[0]:
-        raise error(f"{path}: CRC mismatch, file is truncated or corrupt")
-    meta, table, off = _head(blob, path, error)
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in table]
-    if off + sum(sizes) != len(blob) - 4:
-        raise error(f"{path}: payload size mismatch")
-    arrays = {}
-    for (name, dtype, shape), size in zip(table, sizes):
-        arrays[name] = np.frombuffer(blob, dtype, size // np.dtype(dtype).itemsize,
-                                     off).reshape(shape).copy()
-        off += size
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != MAGIC:
+            raise error(f"{path}: not a depthnav file (bad magic)")
+        fh.seek(0)
+        if size < _PREFIX.size + 4 or not _crc_ok(fh, size):
+            raise error(f"{path}: CRC mismatch, file is truncated or corrupt")
+        fh.seek(0)
+        meta, table, off = _read_head(fh, path, error)
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in table]
+        if off + sum(sizes) != size - 4:
+            raise error(f"{path}: payload size mismatch")
+        arrays = {}
+        for (name, dtype, shape), nbytes in zip(table, sizes):
+            arrays[name] = np.empty(shape, dtype)
+            if fh.readinto(arrays[name].reshape(-1).view(np.uint8)) != nbytes:
+                raise error(f"{path}: CRC mismatch, file is truncated or corrupt")
     return meta, arrays

@@ -92,11 +92,18 @@ class CollisionSet:
         return self.actions.shape[1]
 
     def subset(self, idx) -> "CollisionSet":
+        """The rows idx.  A subset of a flip-augmented set loses its mirror
+        layout (mirrored_half gives 0), so train_cpn trains it without the
+        pair term."""
         return CollisionSet(self.frames.subset(idx), self.states[idx],
                             self.actions[idx], self.labels[idx])
 
     @classmethod
     def concat(cls, sets) -> "CollisionSet":
+        """The sets' rows in order.  Only [ds, its mirror copy] has the mirror
+        layout (with_flip_augmentation); concatenating flip-augmented sets
+        loses it (mirrored_half gives 0), so train_cpn trains the result
+        without the pair term."""
         return cls(FrameSet.concat([s.frames for s in sets]),
                    np.concatenate([s.states for s in sets]),
                    np.concatenate([s.actions for s in sets]),

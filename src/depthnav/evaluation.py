@@ -45,10 +45,13 @@ from .world import (
 )
 
 DEFAULT_SIGMA_V = 0.2  # m/s std-dev assumed on each velocity component
+START_X = (0.5, 0.9)   # mission start x range, m
+START_BAND = 0.5       # start y within this central fraction of the width
+GOAL_OVERSHOOT = 5.0   # goal point this far past the course end, m
 
 
-def default_state_covariance(sigma_v: float = DEFAULT_SIGMA_V) -> np.ndarray:
-    return np.diag([sigma_v**2, sigma_v**2, sigma_v**2, 0.0, 0.0, 0.0])
+def default_state_covariance() -> np.ndarray:
+    return np.diag([DEFAULT_SIGMA_V**2] * 3 + [0.0] * 3)
 
 
 def _cycle_noise_seed(mission_seed: int, cycle: int) -> int:
@@ -66,7 +69,7 @@ class SimVehicle:
     def __init__(self, world: World, start: RobotState, camera: CameraModel,
                  noise: NoiseParams, goal_point, course_length: float,
                  dynamics: DynamicsParams = DynamicsParams(), dt: float = 0.25,
-                 mission_seed: int = 0, state_cov: np.ndarray | None = None):
+                 mission_seed: int = 0):
         if check_collision(world, start.position, dynamics.collision_radius):
             raise WorldError("mission start pose is in collision")
         self.world = world
@@ -77,7 +80,7 @@ class SimVehicle:
         self.dynamics = dynamics
         self.dt = dt
         self.mission_seed = mission_seed
-        self.state_cov = default_state_covariance() if state_cov is None else state_cov
+        self.state_cov = default_state_covariance()
         self._state = start
         self._cycle = 0
         self._path = [start.position.copy()]
@@ -175,23 +178,20 @@ class MissionSetup:
     planner: PlannerConfig = PlannerConfig()
     library: LibraryConfig = LibraryConfig()
     dt: float = 0.25
-    start_x: tuple[float, float] = (0.5, 0.9)
-    start_band: float = 0.5   # start y within this central fraction of the width
-    goal_overshoot: float = 5.0
 
 
 def mission_start(world: World, setup: MissionSetup, seed: int) -> RobotState:
     rng = np.random.default_rng(seed)
     y0, y1 = world.bounds[1], world.bounds[3]
-    mid, half = (y0 + y1) / 2.0, (y1 - y0) / 2.0 * setup.start_band
-    return find_free_start(world, rng, setup.start_x, (mid - half, mid + half),
+    mid, half = (y0 + y1) / 2.0, (y1 - y0) / 2.0 * START_BAND
+    return find_free_start(world, rng, START_X, (mid - half, mid + half),
                            z=1.0, radius=setup.dynamics.collision_radius)
 
 
 def run_mission(world: World, course_length: float, arm_factory, setup: MissionSetup,
                 seed: int, library: MotionPrimitiveLibrary | None = None) -> MissionResult:
     start = mission_start(world, setup, seed)
-    goal = np.array([course_length + setup.goal_overshoot, start.position[1], start.position[2]])
+    goal = np.array([course_length + GOAL_OVERSHOOT, start.position[1], start.position[2]])
     vehicle = SimVehicle(world, start, setup.camera, setup.noise, goal, course_length,
                          setup.dynamics, setup.dt, mission_seed=seed)
     embed_fn, predictor = arm_factory(world, vehicle)
@@ -259,10 +259,11 @@ def run_campaign(arms: dict, environments=("sparse", "medium", "dense"), runs: i
         counts = {name: 0 for name in arms}
         for i in range(runs):
             seed = base_seed + i
-            world = generate_world(world_params_fn(env, seed=seed))
-            course = 3.0 * world_params_fn(env, seed=seed).section_size
+            params = world_params_fn(env, seed=seed)
+            world = generate_world(params)
             for name, factory in arms.items():
-                result = run_mission(world, course, factory, setup, seed, library=library)
+                result = run_mission(world, params.course_length, factory, setup, seed,
+                                     library=library)
                 counts[name] += int(result.success)
                 outcomes.append((env, seed, name, result.outcome, result.cycles,
                                  result.telemetry["distance"]))

@@ -15,6 +15,7 @@ vehicle through observe()/execute()/report() only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,11 +99,10 @@ def build_library(cfg: LibraryConfig) -> MotionPrimitiveLibrary:
 class SigmaPointSet:
     points: np.ndarray   # (2*gamma + 1, gamma); row 0 is the mean
     weights: np.ndarray  # (2*gamma + 1,) mean weights, sum to 1
-    lam: float
 
 
-def sigma_points(mean: np.ndarray, cov: np.ndarray, lam: float | None = None) -> SigmaPointSet:
-    """Classic unscented sigma points (lambda = 3 - dim by default).
+def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
+    """Classic unscented sigma points, lambda = 3 - dim.
 
     The weighted sum of points reproduces the mean exactly and the weighted
     outer products reproduce the covariance exactly; a non-PSD covariance is
@@ -118,8 +118,7 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, lam: float | None = None) ->
     scale = max(1.0, float(np.abs(cov).max()))
     if np.abs(cov - cov.T).max() > 1e-9 * scale:
         raise PlannerError("covariance is not symmetric")
-    if lam is None:
-        lam = 3.0 - gamma
+    lam = 3.0 - gamma
     evals, evecs = np.linalg.eigh(cov)
     if evals.min() < -1e-9 * scale:
         raise PlannerError(f"covariance is not positive semi-definite (min eig {evals.min()})")
@@ -130,7 +129,7 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, lam: float | None = None) ->
     points[gamma + 1 :] = mean[None, :] - root.T
     weights = np.full(2 * gamma + 1, 1.0 / (2.0 * (gamma + lam)))
     weights[0] = lam / (gamma + lam)
-    return SigmaPointSet(points=points, weights=weights, lam=float(lam))
+    return SigmaPointSet(points=points, weights=weights)
 
 
 def ut_reconstruct(sp: SigmaPointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -210,9 +209,21 @@ def select_action(scores: np.ndarray, end_dirs: np.ndarray, goal: np.ndarray,
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    threshold: float = 0.3
-    fallback_speed_scale: float = 0.5
+    threshold: float = 0.3             # the safe set scores below this
+    fallback_speed_scale: float = 0.5  # speed factor when nothing is safe
     max_cycles: int = 450
+
+    def __post_init__(self):
+        if not (math.isfinite(self.threshold) and 0 < self.threshold <= 1):
+            raise PlannerError(f"planner threshold must be finite and in (0, 1], "
+                               f"got {self.threshold}")
+        if not (math.isfinite(self.fallback_speed_scale) and 0 <= self.fallback_speed_scale <= 1):
+            raise PlannerError(f"planner fallback_speed_scale must be finite and in [0, 1], "
+                               f"got {self.fallback_speed_scale}")
+        if isinstance(self.max_cycles, bool) or not isinstance(self.max_cycles, (int, np.integer)) \
+                or self.max_cycles < 1:
+            raise PlannerError(f"planner max_cycles must be an integer >= 1, "
+                               f"got {self.max_cycles!r}")
 
 
 @dataclass

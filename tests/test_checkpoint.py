@@ -3,6 +3,7 @@ round-trips, equal bytes for equal inputs, and each loader's own typed error
 for a corrupt, truncated, foreign or malformed file."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -94,6 +95,41 @@ def test_malformed_head_with_valid_crc_rejected(tmp_path, head):
     _rewrite_head(path, head)
     with pytest.raises(CheckpointError):
         load_arrays(path, CheckpointError)
+
+
+def test_loading_a_large_dataset_peaks_near_its_file_size(tmp_path):
+    # reading the whole file and copying the arrays out held it twice (2x)
+    rng = np.random.default_rng(4)
+    frames = FrameSet(rng.random((520, 60, 80), dtype=np.float32),
+                      rng.integers(0, 2, (520, 60, 80), dtype=np.uint8),
+                      rng.integers(0, 9, (520, 60, 80), dtype=np.uint16))
+    path = tmp_path / "big.dset"
+    save_dataset(path, frames)
+    size = path.stat().st_size
+    assert size >= 16 * 2**20
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size, (peak, size)
+    for name in ("x", "valid", "seg"):
+        assert getattr(loaded, name).tobytes() == getattr(frames, name).tobytes()
+
+
+def test_head_length_past_the_end_reads_only_the_file(tmp_path):
+    # a damaged head length used to allocate that many bytes (up to 4 GiB)
+    path = tmp_path / "g.dset"
+    path.write_bytes(b"DNAV" + struct.pack("<II", 1, 64 * 2**20) + b"{}" * 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetError, match="truncated head"):
+            dataset_info(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # one file of each kind; every loader must reject the others with its own error

@@ -1,11 +1,14 @@
 """CLI pipeline chaining, config parsing, exit codes."""
 
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from depthnav.cli import main
-from depthnav.config import load_config
-from depthnav.errors import ConfigError, WorldError
+from depthnav.config import KEYS, AppConfig, load_config
+from depthnav.errors import ConfigError, PlannerError, WorldError
 
 MICRO_INI = """\
 [run]
@@ -149,6 +152,23 @@ def test_config_rejects_bad_dynamics(tmp_path, key, value):
         load_config(bad)
 
 
+@pytest.mark.parametrize("key,value", [("threshold", "nan"), ("threshold", "0"),
+                                       ("fallback_speed_scale", "-0.5"), ("max_cycles", "0")])
+def test_config_rejects_bad_planner(tmp_path, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[planner]\n{key} = {value}\n")
+    with pytest.raises(PlannerError, match=key):
+        load_config(bad)
+
+
+def test_example_config_is_the_defaults_and_sets_every_key():
+    example = Path(__file__).resolve().parents[1] / "docs" / "example-config.ini"
+    assert load_config(example) == AppConfig()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(example)
+    assert {s: tuple(parser.options(s)) for s in parser.sections()} == KEYS
+
+
 def test_config_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.ini")
@@ -169,7 +189,6 @@ def test_campaign_report_reproducible_across_processes(micro):
     out_a, out_b = str(out) + "_a", str(out) + "_b"
     for target in (out_a, out_b):
         assert main(["run-campaign", "--arms", "oracle", *base, "--out", target]) == 0
-    from pathlib import Path
     assert (Path(out_a) / "campaign.csv").read_bytes() == \
         (Path(out_b) / "campaign.csv").read_bytes()
     assert (Path(out_a) / "campaign_outcomes.csv").read_bytes() == \

@@ -297,3 +297,27 @@ class TestRecedingHorizon:
         embed, pred = modular_arm(vae, cpn)(world, vehicle)
         with pytest.raises(PlannerError, match="horizon"):
             receding_horizon_run(vehicle, embed, pred, lib, PlannerConfig())
+
+
+class TestPlannerConfig:
+    def test_edges_of_each_range_accepted(self):
+        PlannerConfig(threshold=1.0, fallback_speed_scale=0.0, max_cycles=1)
+        PlannerConfig(threshold=1e-6, fallback_speed_scale=1.0, max_cycles=np.int64(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1, 1.5])
+    def test_bad_threshold_rejected(self, bad):
+        # a NaN threshold made every cycle a silent fallback
+        with pytest.raises(PlannerError, match="threshold"):
+            PlannerConfig(threshold=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -0.5, 1.01])
+    def test_bad_fallback_speed_scale_rejected(self, bad):
+        # a negative scale flew the fallback primitive backward
+        with pytest.raises(PlannerError, match="fallback_speed_scale"):
+            PlannerConfig(fallback_speed_scale=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "450"])
+    def test_bad_max_cycles_rejected(self, bad):
+        # zero cycles made an instant "timeout" mission
+        with pytest.raises(PlannerError, match="max_cycles"):
+            PlannerConfig(max_cycles=bad)
