@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from depthnav.camera import CameraModel, NoiseParams, write_pgm
-from depthnav.data import split
 from depthnav.evaluation import eval_reconstruction, fft_reconstructor, vae_reconstructor
 from depthnav.pipeline import render_vae_corpus
 from depthnav.vae import VaeConfig, train_vae
@@ -31,7 +30,9 @@ sevae, _ = train_vae(noisy, cfg, seed=1, epochs=15, lr=3e-4, log_every=5)
 print("training vanilla baseline (identical except weights = 1) ...")
 vanilla, _ = train_vae(noisy, cfg, seed=1, epochs=15, lr=3e-4, vanilla=True, log_every=5)
 
-_, val = split(noisy, 0.8, seed=2)
+# held-out frames: a corpus rendered from other worlds, none of them trained on
+print("rendering 100 held-out corrupted frames ...")
+_, val = render_vae_corpus(100, cam, NoiseParams(), seed=22)
 report = eval_reconstruction(
     {"corrupted": val},
     {"fft-top64": fft_reconstructor(64),

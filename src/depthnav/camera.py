@@ -277,6 +277,23 @@ class NoiseParams:
     quant_step: float = 1.0 / 512.0  # normalized depth; 0 disables
     seed: int = 0
 
+    def __post_init__(self):
+        # plain comparisons, each false for NaN: with_seed runs this once per
+        # planning cycle and once per corrupted frame
+        lo, hi = self.blob_radius
+        for name, rule, ok in (
+                ("blob_count_mean", "finite and >= 0", 0.0 <= self.blob_count_mean < np.inf),
+                ("blob_radius", "finite, 0 <= blob_radius_min <= blob_radius_max",
+                 0.0 <= lo <= hi < np.inf),
+                ("shadow_disp_jump", "> 0 (inf casts no shadow)", self.shadow_disp_jump > 0.0),
+                ("shadow_band", "an integer >= 0",
+                 isinstance(self.shadow_band, (int, np.integer)) and self.shadow_band >= 0),
+                ("thin_dropout_near", "in [0, 1]", 0.0 <= self.thin_dropout_near <= 1.0),
+                ("thin_dropout_far", "in [0, 1]", 0.0 <= self.thin_dropout_far <= 1.0),
+                ("quant_step", "finite and >= 0", 0.0 <= self.quant_step < np.inf)):
+            if not ok:
+                raise WorldError(f"noise {name} must be {rule}, got {getattr(self, name)!r}")
+
     def with_seed(self, seed: int) -> "NoiseParams":
         return replace(self, seed=seed)
 

@@ -74,6 +74,8 @@ def _common(sub):
 
 
 def _setup(args) -> tuple[AppConfig, Path]:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,12 +156,8 @@ def cmd_encode_dataset(args) -> int:
     cfg, out = _setup(args)
     ds = load_dataset(_need(out / F_COLLISIONS, "run collect-collisions first"))
     vae = SemanticVae.load(_need(out / F_SEVAE, "run train-vae first"))
-    if args.clean:
-        from .data import encode_dataset as _encode
-        latent = _encode(ds, vae)
-    else:
-        latent = build_latent_dataset(ds, vae, cfg.noise, seed=args.seed,
-                                      max_range=cfg.camera.max_range)
+    latent = build_latent_dataset(ds, vae, cfg.noise, seed=args.seed,
+                                  max_range=cfg.camera.max_range)
     save_dataset(out / F_LATENT, latent)
     print(f"wrote {len(latent)} latent datapoints to {out / F_LATENT}")
     return 0
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("encode-dataset", help="corrupt + encode collision frames")
     _common(p)
-    p.add_argument("--clean", action="store_true", help="encode without corruption")
     p.set_defaults(fn=cmd_encode_dataset)
 
     p = subs.add_parser("train-cpn", help="train a collision predictor")

@@ -151,6 +151,9 @@ def load_config(path=None) -> AppConfig:
     for name in campaign.environments:
         if name not in ENVIRONMENTS:
             raise ConfigError(f"[campaign] unknown environment {name!r}")
+    if campaign.runs < 1 or campaign.base_seed < 0:
+        raise ConfigError(f"[campaign] needs runs >= 1 and base_seed >= 0, "
+                          f"got {campaign.runs} and {campaign.base_seed}")
     return _updated(cfg, run, camera=camera, noise=noise, vae=vae, dynamics=dynamics,
                     planner=planner, library=library, train=train, dataset=dataset,
                     campaign=campaign)

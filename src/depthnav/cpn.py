@@ -32,6 +32,7 @@ no semantic weighting, and clean simulated frames only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +42,9 @@ from .nn import (
     Activation,
     Conv2d,
     Dense,
-    Flatten,
     GRUCell,
     Model,
+    Reshape,
     Sequential,
     conv_out_hw,
     fit,
@@ -104,9 +105,9 @@ class CollisionPredictor(Model):
                 layers.append(Activation("lrelu", sl, name=f"pc{i}a", dtype=dtype))
                 hw = conv_out_hw(hw, (3, 3), 2, 1)
                 in_ch = ch
-            layers.append(Flatten(name="pf", dtype=dtype))
-            layers.append(Dense(in_ch * hw[0] * hw[1], cfg.perception_embed, rng=rng,
-                                name="pe", dtype=dtype))
+            flat_dim = in_ch * hw[0] * hw[1]
+            layers.append(Reshape((flat_dim,), name="pf", dtype=dtype))
+            layers.append(Dense(flat_dim, cfg.perception_embed, rng=rng, name="pe", dtype=dtype))
             layers.append(Activation("lrelu", sl, name="pea", dtype=dtype))
             self.perception = Sequential(layers)
         self.state_emb = Sequential([
@@ -165,9 +166,10 @@ class CollisionPredictor(Model):
             bits, inverse = np.unique(states.view(np.uint32), axis=0, return_inverse=True)
             states = bits.view(np.float32)
             pe = np.repeat(pe, len(states), axis=0)
-        se = shared_rows(self.state_emb.forward, states, s)
-        h = shared_rows(self.h0_net.forward, np.concatenate([pe, se], axis=1), s * m)
-        ae = shared_rows(self.action_emb.forward,
+        se = shared_rows(partial(self.state_emb.forward, keep=keep), states, s)
+        h = shared_rows(partial(self.h0_net.forward, keep=keep), np.concatenate([pe, se], axis=1),
+                        s * m)
+        ae = shared_rows(partial(self.action_emb.forward, keep=keep),
                          np.ascontiguousarray(actions.reshape(n * t, cfg.action_dim),
                                               dtype=pe.dtype), s * m * t).reshape(n, t, -1)
         if library:
@@ -181,10 +183,7 @@ class CollisionPredictor(Model):
             # back to the tiled (S, M, T, H) layout: the head's (N, H) @ (H, 1)
             # product goes through gemv, whose rounding depends on a row's position
             hs = hs[inverse]
-        logits = self.head.forward(hs.reshape(-1, cfg.hidden)).reshape(hs.shape[:-1])
-        if not keep:
-            self.drop_caches()
-        return logits
+        return self.head.forward(hs.reshape(-1, cfg.hidden), keep).reshape(hs.shape[:-1])
 
     def _backward_logits(self, dlogits):
         b, t = dlogits.shape

@@ -30,7 +30,7 @@ import numpy as np
 from .camera import DepthFrame, depth_pgm_to_frame, frame_to_depth_pgm, read_pgm, write_pgm
 from .container import load_arrays, read_meta, save_arrays
 from .errors import DatasetError, ShapeError
-from .world import ACTION_DIM, CollisionEpisode, PARTIAL_STATE_DIM
+from .world import CollisionEpisode, PARTIAL_STATE_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +132,6 @@ class LatentCollisionSet:
     def horizon(self) -> int:
         return self.actions.shape[1]
 
-    def subset(self, idx) -> "LatentCollisionSet":
-        return LatentCollisionSet(self.mu[idx], self.states[idx],
-                                  self.actions[idx], self.labels[idx])
-
-
-@dataclass
-class CollisionDatapoint:
-    frame: DepthFrame
-    state: np.ndarray
-    actions: np.ndarray
-    labels: np.ndarray
-
 
 # ---------------------------------------------------------------------------
 # Episode labeling and augmentation
@@ -154,39 +142,20 @@ def label_episode(episode: CollisionEpisode, horizon: int) -> CollisionSet:
     before the i-th step after the window start.
 
     Collision-ended episodes emit a window at every step (the last action,
-    held, extends windows past the end, labels stay 1); timeout episodes
-    only emit full in-range windows, all labeled 0.
+    held, extends windows past the end, so a window continues the sequence
+    being flown; labels stay 1); timeout episodes only emit full in-range
+    windows, all labeled 0.
     """
     length = len(episode)
     if length < 1:
         raise DatasetError("episode shorter than 1 step")
-    if episode.ended_in_collision:
-        starts = range(length)
-        all_actions = np.concatenate([episode.actions, episode.extra_actions])
-    else:
-        starts = range(length - horizon + 1)
-        all_actions = episode.actions
-    cum = np.cumsum(episode.collided) > 0  # collided at or before step i
-    frames, states, actions, labels = [], [], [], []
-    for t in starts:
-        if t + horizon > len(all_actions):
-            break
-        lab = np.ones(horizon, dtype=np.uint8)
-        upto = min(t + horizon, length)
-        lab[: upto - t] = cum[t:upto]
-        frames.append(episode.frames[t])
-        states.append(episode.states[t])
-        actions.append(all_actions[t : t + horizon])
-        labels.append(lab)
-    if not frames:
-        return CollisionSet(
-            FrameSet(np.zeros((0, *episode.frames[0].shape), np.float32),
-                     np.zeros((0, *episode.frames[0].shape), np.uint8),
-                     np.zeros((0, *episode.frames[0].shape), np.uint16)),
-            np.zeros((0, PARTIAL_STATE_DIM)), np.zeros((0, horizon, ACTION_DIM)),
-            np.zeros((0, horizon), np.uint8))
-    return CollisionSet(FrameSet.from_frames(frames), np.asarray(states),
-                        np.asarray(actions), np.asarray(labels))
+    # steps past the end: the last action held, the collision flag held
+    actions = np.concatenate([episode.actions, np.tile(episode.actions[-1], (horizon, 1))])
+    collided = np.concatenate([np.cumsum(episode.collided) > 0, np.ones(horizon, bool)])
+    n = length if episode.ended_in_collision else max(length - horizon + 1, 0)
+    steps = np.arange(n)[:, None] + np.arange(horizon)  # window i covers steps i .. i+T-1
+    return CollisionSet(FrameSet.from_frames(episode.frames).subset(slice(n)),
+                        episode.states[:n], actions[steps], collided[steps])
 
 
 def _mirror(states, actions):
@@ -197,17 +166,10 @@ def _mirror(states, actions):
     return states, actions
 
 
-def flip_augment(dp: CollisionDatapoint) -> CollisionDatapoint:
-    """Mirror a datapoint left-right: image flipped, lateral velocity, yaw
-    rate, roll, lateral references and steering negated; labels unchanged."""
-    frame = DepthFrame(np.ascontiguousarray(dp.frame.x[:, ::-1]),
-                       np.ascontiguousarray(dp.frame.valid[:, ::-1]),
-                       np.ascontiguousarray(dp.frame.seg[:, ::-1]))
-    return CollisionDatapoint(frame, *_mirror(dp.state, dp.actions), dp.labels.copy())
-
-
 def flip_augment_set(ds: CollisionSet) -> CollisionSet:
-    """Whole-set mirror (same transform as flip_augment, vectorized)."""
+    """Mirror every datapoint left-right: images flipped, lateral velocity,
+    yaw rate, roll, lateral references and steering negated; labels
+    unchanged."""
     frames = FrameSet(np.ascontiguousarray(ds.frames.x[:, :, ::-1]),
                       np.ascontiguousarray(ds.frames.valid[:, :, ::-1]),
                       np.ascontiguousarray(ds.frames.seg[:, :, ::-1]))
@@ -243,16 +205,6 @@ def encode_dataset(ds: CollisionSet, vae, batch_size: int = 64) -> LatentCollisi
         chunks.append(mu)
     mu = np.concatenate(chunks) if chunks else np.zeros((0, vae.cfg.latent_dim), np.float32)
     return LatentCollisionSet(mu, ds.states.copy(), ds.actions.copy(), ds.labels.copy())
-
-
-def split(dataset, ratio: float, seed: int):
-    """Disjoint, exhaustive (train, validation) split by seeded shuffle."""
-    if not 0.0 < ratio < 1.0:
-        raise DatasetError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(dataset)
-    perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(ratio * n))
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from .layers import (
     Conv2d,
     Deconv2d,
     Dense,
-    Flatten,
     GRUCell,
     Layer,
     Reshape,
@@ -25,8 +24,8 @@ from .layers import (
 from .model import Model, fit
 
 __all__ = [
-    "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "Flatten",
-    "GRUCell", "Layer", "Model", "Reshape", "Sequential", "adam_step", "conv_out_hw", "fit",
+    "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "GRUCell",
+    "Layer", "Model", "Reshape", "Sequential", "adam_step", "conv_out_hw", "fit",
     "leaky_relu", "lrelu_fingerprint", "max_param_error",
     "numeric_gradient", "relative_errors", "sample_latent", "sample_latent_backward",
     "shared_rows", "sigmoid",

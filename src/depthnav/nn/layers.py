@@ -1,10 +1,12 @@
 """Dense-tensor layer library with analytically derived gradients.
 
 Tensors are C-contiguous numpy arrays, float32 by default (float64 is used
-by the gradient checker as a shadow mode).  Layers cache their forward
-intermediates and consume them in ``backward``; parameter gradients
-accumulate in ``layer.grads`` until ``zero_grad`` is called.  There is no
-general autodiff tape: every backward pass below is hand-derived.
+by the gradient checker as a shadow mode).  forward(x, keep=True) caches
+the intermediates that ``backward`` consumes only under ``keep``: a pass
+that no backward follows (keep=False) leaves no cache, and ``backward``
+after it raises ShapeError.  Parameter gradients accumulate in
+``layer.grads`` until ``zero_grad`` is called.  There is no general
+autodiff tape: every backward pass below is hand-derived.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class Layer:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """The layer's output; with keep, cache what backward needs."""
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -90,10 +93,6 @@ class Layer:
         gradient; without input_grad (a first layer's input needs none),
         return None."""
         raise NotImplementedError
-
-    def drop_cache(self) -> None:
-        """Free the forward intermediates kept for backward."""
-        self._cache = None
 
     def _take_cache(self):
         if self._cache is None:
@@ -247,7 +246,7 @@ class Conv2d(Layer):
             bias=np.zeros(out_ch),
         )
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(
                 f"{self.name}: expected (N,{self.in_ch},H,W), got {tuple(x.shape)} (axis 1 mismatch)"
@@ -256,7 +255,7 @@ class Conv2d(Layer):
         w_mat = self.params["weight"].reshape(self.out_ch, -1)
         y = np.matmul(w_mat[None], cols)  # (N, out_ch, Ho*Wo)
         y += self.params["bias"][None, :, None]
-        self._cache = (x.shape, cols)
+        self._cache = (x.shape, cols) if keep else None
         return np.ascontiguousarray(y.reshape(x.shape[0], self.out_ch, ho, wo))
 
     def backward(self, dy, input_grad=True):
@@ -302,7 +301,7 @@ class Deconv2d(Layer):
                 f"(stride {self.stride} would need input {expect})"
             )
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(
                 f"{self.name}: expected (N,{self.in_ch},H,W), got {tuple(x.shape)} (axis 1 mismatch)"
@@ -314,7 +313,7 @@ class Deconv2d(Layer):
         cols = np.matmul(w_mat.T[None], x_mat)  # (N, out_ch*k*k, Hi*Wi)
         y = _col2im(cols, (n, self.out_ch, *self.out_hw), self.kernel[0], self.stride)
         y += self.params["bias"][None, :, None, None]
-        self._cache = (x,)
+        self._cache = (x,) if keep else None
         return y
 
     def backward(self, dy, input_grad=True):
@@ -344,12 +343,12 @@ class Dense(Layer):
             bias=np.zeros(out_dim),
         )
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"{self.name}: expected (N,{self.in_dim}), got {tuple(x.shape)} (axis 1 mismatch)"
             )
-        self._cache = (x,)
+        self._cache = (x,) if keep else None
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, dy, input_grad=True):
@@ -360,34 +359,28 @@ class Dense(Layer):
 
 
 class Activation(Layer):
-    """Elementwise nonlinearity: lrelu | sigmoid | tanh | linear."""
+    """Elementwise nonlinearity: lrelu | sigmoid | tanh."""
 
     def __init__(self, fn="lrelu", slope=0.1, name=None, dtype=DTYPE):
         super().__init__(dtype)
-        if fn not in ("lrelu", "sigmoid", "tanh", "linear"):
+        if fn not in ("lrelu", "sigmoid", "tanh"):
             raise ShapeError(f"unknown activation {fn!r}")
         if fn == "lrelu":
             _check_lrelu_slope(slope)
         self.fn = fn
         self.slope = slope
         self.name = name or fn
-        self.last_input = None  # input of the latest lrelu forward, for lrelu_fingerprint
+        self.last_input = None  # input of the latest kept lrelu forward, for lrelu_fingerprint
 
-    def drop_cache(self):
-        super().drop_cache()
-        self.last_input = None
-
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if self.fn == "lrelu":
             y = leaky_relu(x, self.slope)
-            self.last_input = x
+            self.last_input = x if keep else None
         elif self.fn == "sigmoid":
             y = sigmoid(x)
-        elif self.fn == "tanh":
-            y = np.tanh(x)
         else:
-            y = x
-        self._cache = (x, y)
+            y = np.tanh(x)
+        self._cache = (x, y) if keep else None
         return y
 
     def backward(self, dy, input_grad=True):
@@ -398,23 +391,7 @@ class Activation(Layer):
             return dy * _lrelu_factor(x, self.slope, dy.dtype)
         if self.fn == "sigmoid":
             return dy * y * (1.0 - y)
-        if self.fn == "tanh":
-            return dy * (1.0 - y * y)
-        return dy
-
-
-class Flatten(Layer):
-    def __init__(self, name="flatten", dtype=DTYPE):
-        super().__init__(dtype)
-        self.name = name
-
-    def forward(self, x):
-        self._cache = (x.shape,)
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy, input_grad=True):
-        (shape,) = self._take_cache()
-        return dy.reshape(shape) if input_grad else None
+        return dy * (1.0 - y * y)
 
 
 class Reshape(Layer):
@@ -423,10 +400,10 @@ class Reshape(Layer):
         self.name = name
         self.target = tuple(target)  # per-sample shape, batch axis excluded
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if int(np.prod(x.shape[1:])) != int(np.prod(self.target)):
             raise ShapeError(f"{self.name}: cannot reshape {x.shape[1:]} to {self.target}")
-        self._cache = (x.shape,)
+        self._cache = (x.shape,) if keep else None
         return x.reshape(x.shape[0], *self.target)
 
     def backward(self, dy, input_grad=True):
@@ -527,13 +504,11 @@ class Sequential:
         self.layers = list(layers)
 
     def forward(self, x, keep=True):
-        """Run every layer; without keep each layer's cache is dropped as soon
-        as the next layer has its input, so a pass that no backward follows
-        holds no intermediates and reuses freed memory as it goes."""
+        """Run every layer, passing keep down: without it no layer caches,
+        so a pass that no backward follows holds no intermediates and
+        reuses freed memory as it goes."""
         for layer in self.layers:
-            x = layer.forward(x)
-            if not keep:
-                layer.drop_cache()
+            x = layer.forward(x, keep)
         return x
 
     def backward(self, dy, input_grad=True):

@@ -49,12 +49,6 @@ class Model:
         for layer in self._layers:
             layer.zero_grad()
 
-    def drop_caches(self) -> None:
-        """Free every layer's forward intermediates, and each lrelu's last
-        input, after a pass that no backward pass follows."""
-        for layer in self._layers:
-            layer.drop_cache()
-
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {"kind": self.kind, "config": asdict(self.cfg), **(extra_meta or {})}
         save_arrays(path, self.params(), meta)

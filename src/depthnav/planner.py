@@ -47,6 +47,8 @@ class LibraryConfig:
             raise PlannerError(f"library horizon must be >= 1, got {self.horizon}")
         if not all(np.isfinite(v) and v > 0 for v in self.speeds):
             raise PlannerError(f"library speeds must be finite and > 0, got {self.speeds}")
+        if not 0.0 < self.fov_margin <= 1.0:  # also false for NaN
+            raise PlannerError(f"library fov_margin must lie in (0, 1], got {self.fov_margin!r}")
 
 
 @dataclass
@@ -151,19 +153,13 @@ def uncertainty_aware_score(predictor, perception, sp: SigmaPointSet,
     The classic sigma weights can be negative, which would push a convex
     combination of [0,1] scores outside [0,1]; scoring therefore uses
     |w| / sum|w|, which degenerates correctly (constant predictors and
-    zero covariance behave as expected).  Accepts one sequence (T, 4) or a
-    batch (M, T, 4); returns a scalar or (M,).
+    zero covariance behave as expected).  actions (M, T, 4) -> (M,).
     """
-    actions = np.asarray(actions, dtype=np.float32)
-    single = actions.ndim == 2
-    if single:
-        actions = actions[None]
-    scores = predictor.score_library(perception, sp.points.astype(np.float32), actions)
+    scores = predictor.score_library(perception, sp.points.astype(np.float32),
+                                     np.asarray(actions, dtype=np.float32))
     w = np.abs(sp.weights)
     w = w / w.sum()
-    mixed = np.einsum("s,smt->mt", w, scores)
-    uac = mixed.max(axis=1)
-    return float(uac[0]) if single else uac
+    return np.einsum("s,smt->mt", w, scores).max(axis=1)
 
 
 @dataclass

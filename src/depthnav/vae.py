@@ -25,7 +25,6 @@ from .nn import (
     Conv2d,
     Deconv2d,
     Dense,
-    Flatten,
     Model,
     Reshape,
     Sequential,
@@ -53,10 +52,16 @@ class VaeConfig:
     lrelu_slope: float = 0.1
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.beta <= 0 or self.w_const <= 0:
-            raise ShapeError("need latent_dim >= 1, beta > 0, w_const > 0")
-        if self.nu_min < 1 or self.p_min < 1:
-            raise ShapeError("need nu_min >= 1 and p_min >= 1")
+        for name, rule, ok in (  # comparisons that are false for NaN
+                ("latent_dim", ">= 1", self.latent_dim >= 1),
+                ("hidden", ">= 1", self.hidden >= 1),
+                ("enc_channels", "one or more widths >= 1", min(self.enc_channels, default=0) >= 1),
+                ("beta", "finite and > 0", 0.0 < self.beta < np.inf),
+                ("w_const", "finite and > 0", 0.0 < self.w_const < np.inf),
+                ("nu_min", "finite and >= 1", 1.0 <= self.nu_min < np.inf),
+                ("p_min", ">= 1", self.p_min >= 1)):
+            if not ok:
+                raise ShapeError(f"vae {name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def beta_norm(self) -> float:
@@ -146,7 +151,7 @@ class SemanticVae(Model):
             in_ch = ch
         self.flat_hw = trace[-1]
         flat_dim = cfg.enc_channels[-1] * trace[-1][0] * trace[-1][1]
-        layers.append(Flatten(name="encf", dtype=dtype))
+        layers.append(Reshape((flat_dim,), name="encf", dtype=dtype))
         layers.append(Dense(flat_dim, cfg.hidden, rng=rng, name="ench", dtype=dtype))
         layers.append(Activation("lrelu", cfg.lrelu_slope, name="encha", dtype=dtype))
         self.encoder = Sequential(layers)
@@ -184,9 +189,8 @@ class SemanticVae(Model):
         """x: (N, H, W) normalized depth with invalid pixels already zeroed."""
         self._check_hw(x)
         h = self.encoder.forward(np.ascontiguousarray(x[:, None], dtype=np.float32), keep=False)
-        mu = self.mu_head.forward(h)
-        logvar = np.clip(self.logvar_head.forward(h), -LOGVAR_CLAMP, LOGVAR_CLAMP)
-        self.drop_caches()
+        mu = self.mu_head.forward(h, keep=False)
+        logvar = np.clip(self.logvar_head.forward(h, keep=False), -LOGVAR_CLAMP, LOGVAR_CLAMP)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
             raise TrainingError("encoder produced non-finite latent")
         return mu, logvar

@@ -554,7 +554,6 @@ class CollisionEpisode:
     states: np.ndarray           # (L, 6) partial states at step start
     actions: np.ndarray          # (L, 4) executed actions
     collided: np.ndarray         # (L,) uint8, collision during step i
-    extra_actions: np.ndarray    # (T, 4) last action held (collision episodes)
     ended_in_collision: bool
     seed: int
 
@@ -569,9 +568,8 @@ def rollout_episode(world: World, start: RobotState, sensor, seed: int,
     """Execute random action sequences until a collision or the step budget.
 
     `sensor` maps a RobotState to the robot's current (clean) DepthFrame.
-    The returned episode carries everything labeling needs: after a
-    collision ending, its last executed action held for T more steps, so a
-    window past the end continues the sequence it was flying.
+    The returned episode carries everything labeling (data.label_episode)
+    needs.
     """
     if T < 1:
         raise WorldError(f"rollout needs sequences of T >= 1 steps, got {T}")
@@ -591,16 +589,11 @@ def rollout_episode(world: World, start: RobotState, sensor, seed: int,
             collided.append(1 if hit else 0)
             if hit:
                 break
-    if hit:
-        extra = np.tile(actions[-1], (T, 1))
-    else:
-        extra = np.zeros((0, ACTION_DIM))
     return CollisionEpisode(
         frames=frames,
         states=np.asarray(states, dtype=np.float64).reshape(-1, PARTIAL_STATE_DIM),
         actions=np.asarray(actions, dtype=np.float64).reshape(-1, ACTION_DIM),
         collided=np.asarray(collided, dtype=np.uint8),
-        extra_actions=extra,
         ended_in_collision=hit,
         seed=seed,
     )

@@ -492,20 +492,19 @@ def test_trained_cpn_scenario_scores(desk_stack):
 
 def test_trained_cpn_flip_symmetry(desk_stack):
     """Augmented training makes predictions roughly mirror-equivariant."""
-    from depthnav.data import CollisionDatapoint, flip_augment
+    from depthnav.data import flip_augment_set
 
     ds = desk_stack.collisions
     rng = np.random.default_rng(0)
     idx = rng.choice(len(ds), size=64, replace=False)
+    sub = ds.subset(idx)
+    flipped = flip_augment_set(sub)
     diffs = []
-    for i in idx:
-        dp = CollisionDatapoint(ds.frames.frame(int(i)), ds.states[int(i)].astype(np.float64),
-                                ds.actions[int(i)].astype(np.float64), ds.labels[int(i)])
-        flipped = flip_augment(dp)
-        mu_a = desk_stack.sevae.encode(dp.frame).mu
-        mu_b = desk_stack.sevae.encode(flipped.frame).mu
-        score_a = desk_stack.cpn_modular.predict(mu_a, dp.state, dp.actions)
-        score_b = desk_stack.cpn_modular.predict(mu_b, flipped.state, flipped.actions)
+    for i in range(len(sub)):
+        mu_a = desk_stack.sevae.encode(sub.frames.frame(i)).mu
+        mu_b = desk_stack.sevae.encode(flipped.frames.frame(i)).mu
+        score_a = desk_stack.cpn_modular.predict(mu_a, sub.states[i], sub.actions[i])
+        score_b = desk_stack.cpn_modular.predict(mu_b, flipped.states[i], flipped.actions[i])
         diffs.append(np.abs(score_a - score_b).mean())
     assert float(np.mean(diffs)) < 0.1, f"flip MAD {np.mean(diffs):.3f}"
 

@@ -8,7 +8,7 @@ import pytest
 
 from depthnav.cli import main
 from depthnav.config import KEYS, AppConfig, load_config
-from depthnav.errors import ConfigError, PlannerError, WorldError
+from depthnav.errors import ConfigError, PlannerError, ShapeError, WorldError
 
 MICRO_INI = """\
 [run]
@@ -130,6 +130,22 @@ def test_unknown_arm_gives_one_error_line(micro, capsys):
     assert len(err) == 1 and err[0].startswith("error: ConfigError: unknown arm 'bogus'")
 
 
+@pytest.mark.parametrize("command,ini_line", [
+    (["gen-world", "--seed", "-1"], ""),
+    (["run-mission", "--arm", "oracle", "--seed", "-1"], ""),
+    (["run-campaign", "--arms", "oracle"], "base_seed = -5000"),
+    (["run-campaign", "--arms", "oracle"], "runs = -1"),
+])
+def test_negative_seed_or_campaign_size_gives_one_error_line(micro, capsys, command, ini_line):
+    # a negative seed used to end in numpy's untyped ValueError; runs = -1 flew nothing
+    ini, out = micro
+    ini.write_text(MICRO_INI.replace("runs = 1", ini_line or "runs = 1"))
+    assert main([*command, "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+    assert not (out / "campaign.csv").exists()
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -153,11 +169,34 @@ def test_config_rejects_bad_dynamics(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("key,value", [("threshold", "nan"), ("threshold", "0"),
-                                       ("fallback_speed_scale", "-0.5"), ("max_cycles", "0")])
+                                       ("fallback_speed_scale", "-0.5"), ("max_cycles", "0"),
+                                       ("fov_margin", "nan"), ("fov_margin", "1.5")])
 def test_config_rejects_bad_planner(tmp_path, key, value):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[planner]\n{key} = {value}\n")
     with pytest.raises(PlannerError, match=key):
+        load_config(bad)
+
+
+@pytest.mark.parametrize("key,value", [("blob_count_mean", "-1"), ("blob_count_mean", "nan"),
+                                       ("blob_radius_min", "6"), ("blob_radius_max", "inf"),
+                                       ("shadow_disp_jump", "nan"), ("shadow_disp_jump", "0"),
+                                       ("shadow_band", "-1"), ("thin_dropout_near", "-0.1"),
+                                       ("thin_dropout_far", "1.5"), ("quant_step", "inf")])
+def test_config_rejects_bad_noise(tmp_path, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[noise]\n{key} = {value}\n")
+    with pytest.raises(WorldError, match=key):
+        load_config(bad)
+
+
+@pytest.mark.parametrize("key,value", [("hidden", "0"), ("latent_dim", "0"), ("p_min", "0"),
+                                       ("beta", "nan"), ("beta", "0"), ("w_const", "inf"),
+                                       ("nu_min", "nan"), ("nu_min", "0.5")])
+def test_config_rejects_bad_vae(tmp_path, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[vae]\n{key} = {value}\n")
+    with pytest.raises(ShapeError, match=key):
         load_config(bad)
 
 

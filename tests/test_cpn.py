@@ -221,12 +221,14 @@ def test_library_scoring_leaves_no_recurrent_cache():
     model.score_library(rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=(4, 4, 4)))
     assert model.gru._stack == []
     assert all(layer._cache is None for layer in model.layers())
+    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
 def test_training_leaves_no_recurrent_cache():
     model, _ = train_cpn(_latent_ds(40), TINY, seed=0, epochs=1, batch_size=16)
     assert model.gru._stack == []
     assert all(layer._cache is None for layer in model.layers())
+    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
 @pytest.mark.parametrize("states,actions", [((0, 6), (3, 4, 4)), ((2, 6), (0, 4, 4)),

@@ -3,34 +3,33 @@ and pose sampling for the generated datasets."""
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from depthnav.camera import CameraModel, DepthFrame, NoiseParams
 from depthnav.data import (
-    CollisionDatapoint,
     CollisionSet,
     FrameSet,
     LatentCollisionSet,
     dataset_info,
     encode_dataset,
     export_frames,
-    flip_augment,
     flip_augment_set,
     import_depth_images,
     label_episode,
     load_dataset,
     mirrored_half,
     save_dataset,
-    split,
     with_flip_augmentation,
 )
-from depthnav.errors import DatasetError, ShapeError
+from depthnav.errors import DatasetError, ShapeError, TrainingError
+from depthnav.nn import fit
 from depthnav.world import ACTION_DIM, CollisionEpisode, desk_world_params
 
 
-def _episode(length, collided_at=None, T=8, seed=0):
+def _episode(length, collided_at=None, seed=0):
     rng = np.random.default_rng(seed)
     frames = [DepthFrame(rng.random((6, 8), dtype=np.float32), np.ones((6, 8), np.uint8),
                          np.zeros((6, 8), np.uint16)) for _ in range(length)]
@@ -43,7 +42,6 @@ def _episode(length, collided_at=None, T=8, seed=0):
         states=rng.normal(size=(length, 6)),
         actions=rng.normal(size=(length, ACTION_DIM)),
         collided=collided,
-        extra_actions=rng.normal(size=(T, ACTION_DIM)) if ended else np.zeros((0, ACTION_DIM)),
         ended_in_collision=ended,
         seed=seed,
     )
@@ -72,11 +70,12 @@ class TestLabeling:
             assert np.all(diffs >= 0)
 
     def test_windows_past_collision_use_appended_actions(self):
-        episode = _episode(4, collided_at=3, T=8)
+        episode = _episode(4, collided_at=3)
         ds = label_episode(episode, horizon=8)
         assert len(ds) == 4
-        # the last window starts at t=3 and needs 7 appended actions
-        assert np.allclose(ds.actions[3][1:], episode.extra_actions[:7])
+        # the last window starts at t=3 and needs 7 appended actions: the last one, held
+        assert np.array_equal(ds.actions[3][1:],
+                              np.tile(episode.actions[-1].astype(np.float32), (7, 1)))
         assert np.array_equal(ds.labels[3], np.ones(8, np.uint8))
 
     def test_empty_episode_rejected(self):
@@ -85,55 +84,48 @@ class TestLabeling:
 
 
 class TestFlip:
-    def _dp(self, seed=1):
+    def _ds(self, seed=1, n=3):
         rng = np.random.default_rng(seed)
-        frame = DepthFrame(rng.random((6, 8), dtype=np.float32), np.ones((6, 8), np.uint8),
-                           np.zeros((6, 8), np.uint16))
-        return CollisionDatapoint(frame, rng.normal(size=6), rng.normal(size=(5, 4)),
-                                  (rng.random(5) > 0.5).astype(np.uint8))
+        shape = (n, 6, 8)
+        frames = FrameSet(rng.random(shape, dtype=np.float32),
+                          (rng.random(shape) > 0.3).astype(np.uint8),
+                          rng.integers(0, 4, shape).astype(np.uint16))
+        return CollisionSet(frames, rng.normal(size=(n, 6)), rng.normal(size=(n, 5, 4)),
+                            (rng.random((n, 5)) > 0.5).astype(np.uint8))
 
     def test_flip_twice_is_identity(self):
-        dp = self._dp()
-        back = flip_augment(flip_augment(dp))
-        assert np.array_equal(back.frame.x, dp.frame.x)
-        assert np.array_equal(back.state, dp.state)
-        assert np.array_equal(back.actions, dp.actions)
-        assert np.array_equal(back.labels, dp.labels)
+        ds = self._ds()
+        back = flip_augment_set(flip_augment_set(ds))
+        for name in ("x", "valid", "seg"):
+            assert np.array_equal(getattr(back.frames, name), getattr(ds.frames, name))
+        assert np.array_equal(back.states, ds.states)
+        assert np.array_equal(back.actions, ds.actions)
+        assert np.array_equal(back.labels, ds.labels)
 
     def test_flip_negates_lateral_quantities_only(self):
-        dp = self._dp(2)
-        flipped = flip_augment(dp)
-        assert np.array_equal(flipped.frame.x, dp.frame.x[:, ::-1])
-        assert flipped.state[1] == -dp.state[1]   # v_y
-        assert flipped.state[3] == -dp.state[3]   # yaw rate
-        assert flipped.state[4] == -dp.state[4]   # roll
-        assert flipped.state[0] == dp.state[0]    # v_x untouched
-        assert flipped.state[5] == dp.state[5]    # pitch untouched
-        assert np.array_equal(flipped.actions[:, 1], -dp.actions[:, 1])
-        assert np.array_equal(flipped.actions[:, 3], -dp.actions[:, 3])
-        assert np.array_equal(flipped.labels, dp.labels)
+        ds = self._ds(2)
+        flipped = flip_augment_set(ds)
+        for name in ("x", "valid", "seg"):
+            assert np.array_equal(getattr(flipped.frames, name),
+                                  getattr(ds.frames, name)[:, :, ::-1])
+        lateral = [1, 3, 4]                 # v_y, yaw rate, roll
+        assert np.array_equal(flipped.states[:, lateral], -ds.states[:, lateral])
+        assert np.array_equal(flipped.states[:, [0, 2, 5]], ds.states[:, [0, 2, 5]])
+        assert np.array_equal(flipped.actions[..., [1, 3]], -ds.actions[..., [1, 3]])
+        assert np.array_equal(flipped.actions[..., [0, 2]], ds.actions[..., [0, 2]])
+        assert np.array_equal(flipped.labels, ds.labels)
 
     def test_symmetric_frame_with_zero_lateral_state_is_fixed_point(self):
-        x = np.zeros((4, 6), np.float32)
-        x[:, 2:4] = 0.5  # symmetric about the vertical centerline
-        frame = DepthFrame(x, np.ones_like(x, dtype=np.uint8), np.zeros_like(x, dtype=np.uint16))
-        state = np.array([1.0, 0.0, 0.1, 0.0, 0.0, 0.05])
-        actions = np.tile([0.8, 0.0, 0.0, 0.0], (3, 1))
-        dp = CollisionDatapoint(frame, state, actions, np.zeros(3, np.uint8))
-        flipped = flip_augment(dp)
-        assert np.array_equal(flipped.frame.x, dp.frame.x)
-        assert np.array_equal(flipped.state, dp.state)
-        assert np.array_equal(flipped.actions, dp.actions)
-
-    def test_set_level_flip_matches_pointwise(self):
-        ds = label_episode(_episode(10, collided_at=9), horizon=4)
-        whole = flip_augment_set(ds)
-        for i in range(len(ds)):
-            one = flip_augment(CollisionDatapoint(ds.frames.frame(i), ds.states[i],
-                                                  ds.actions[i], ds.labels[i]))
-            assert np.array_equal(whole.frames.x[i], one.frame.x)
-            assert np.array_equal(whole.states[i], one.state)
-            assert np.array_equal(whole.actions[i], one.actions)
+        x = np.zeros((1, 4, 6), np.float32)
+        x[..., 2:4] = 0.5  # symmetric about the vertical centerline
+        frames = FrameSet(x, np.ones_like(x, dtype=np.uint8), np.zeros_like(x, dtype=np.uint16))
+        state = np.array([[1.0, 0.0, 0.1, 0.0, 0.0, 0.05]])
+        actions = np.tile([0.8, 0.0, 0.0, 0.0], (1, 3, 1))
+        ds = CollisionSet(frames, state, actions, np.zeros((1, 3), np.uint8))
+        flipped = flip_augment_set(ds)
+        assert np.array_equal(flipped.frames.x, ds.frames.x)
+        assert np.array_equal(flipped.states, ds.states)
+        assert np.array_equal(flipped.actions, ds.actions)
 
     def test_augmented_set_doubles(self):
         ds = label_episode(_episode(10), horizon=4)
@@ -180,34 +172,39 @@ class TestEncode:
 
 
 class TestSplit:
-    def _frames(self, n=100):
-        rng = np.random.default_rng(0)
-        return FrameSet(rng.random((n, 4, 5), dtype=np.float32),
-                        np.ones((n, 4, 5), np.uint8), np.zeros((n, 4, 5), np.uint16))
+    """The one train/validation split of a dataset's rows: nn.fit's."""
+
+    def _split(self, n, ratio, seed):
+        """(training rows, validation rows) that fit draws for n rows."""
+        seen = {}
+
+        def validate(model, va):
+            seen["va"] = va
+            return ()
+
+        model = SimpleNamespace(zero_grad=lambda: None, params=dict, grads=dict)
+        fit(lambda s: model, np.random.default_rng(seed), n, lambda m, idx: 0.0, validate,
+            lambda epoch, loss: None, epochs=1, lr=1e-3, batch_size=n, split_ratio=ratio,
+            tag="split", on_split=lambda tr: seen.setdefault("tr", tr))
+        return seen["tr"], seen["va"]
 
     def test_eighty_twenty_of_one_hundred(self):
-        train, val = split(self._frames(100), 0.8, seed=1)
+        train, val = self._split(100, 0.8, seed=1)
         assert len(train) == 80 and len(val) == 20
 
     def test_union_is_original_and_disjoint(self):
-        frames = self._frames(50)
-        train, val = split(frames, 0.8, seed=2)
-        joined = np.concatenate([train.x, val.x])
-        assert joined.shape[0] == 50
-        # every original row appears exactly once
-        orig = {f.tobytes() for f in frames.x}
-        new = [f.tobytes() for f in joined]
-        assert orig == set(new) and len(new) == len(set(new))
+        train, val = self._split(50, 0.8, seed=2)
+        # every row appears exactly once
+        assert sorted(np.concatenate([train, val]).tolist()) == list(range(50))
 
     def test_same_seed_same_split(self):
-        frames = self._frames(30)
-        a1, _ = split(frames, 0.7, seed=3)
-        a2, _ = split(frames, 0.7, seed=3)
-        assert np.array_equal(a1.x, a2.x)
+        a1, _ = self._split(30, 0.7, seed=3)
+        a2, _ = self._split(30, 0.7, seed=3)
+        assert np.array_equal(a1, a2)
 
     def test_bad_ratio_rejected(self):
-        with pytest.raises(DatasetError):
-            split(self._frames(10), 1.2, seed=0)
+        with pytest.raises(TrainingError, match="split_ratio"):
+            self._split(10, 1.2, seed=0)
 
 
 class TestContainers:

@@ -10,7 +10,6 @@ from depthnav.nn import (
     Conv2d,
     Deconv2d,
     Dense,
-    Flatten,
     GRUCell,
     Reshape,
     Sequential,
@@ -70,6 +69,15 @@ def test_backward_before_forward_rejected():
     layer = Dense(3, 3)
     with pytest.raises(ShapeError, match="backward"):
         layer.backward(np.zeros((1, 3), np.float32))
+    # a pass that no backward follows (keep=False) leaves no cache behind,
+    # not even a kept pass's that came before it
+    x = np.ones((1, 3), np.float32)
+    for layers in ([layer], [Activation("lrelu")], [Reshape((3, 1))]):
+        net = Sequential(layers)
+        net.forward(x)
+        net.forward(x, keep=False)
+        with pytest.raises(ShapeError, match="backward"):
+            net.backward(np.ones_like(net.forward(x, keep=False)))
 
 
 @pytest.mark.parametrize("cls", [Conv2d, Deconv2d])
@@ -108,7 +116,7 @@ def test_conv_then_matched_deconv_restores_spatial_dims():
 def test_forward_is_deterministic():
     rng = np.random.default_rng(3)
     net = Sequential([Conv2d(1, 4, (3, 3), 2, rng=rng, name="c"),
-                      Activation("lrelu", name="a"), Flatten(name="f")])
+                      Activation("lrelu", name="a"), Reshape((4 * 5 * 6,), name="f")])
     x = rng.standard_normal((2, 1, 10, 12)).astype(np.float32)
     assert np.array_equal(net.forward(x), net.forward(x))
 
@@ -119,7 +127,7 @@ def test_backward_without_input_grad_keeps_parameter_gradients(first, dtype):
     rng = np.random.default_rng(6)
     if first == "conv":
         layers = [Conv2d(2, 3, (3, 3), 2, rng=rng, dtype=dtype), Activation("lrelu", dtype=dtype),
-                  Flatten(dtype=dtype), Dense(3 * 4 * 5, 4, rng=rng, dtype=dtype)]
+                  Reshape((3 * 4 * 5,), dtype=dtype), Dense(3 * 4 * 5, 4, rng=rng, dtype=dtype)]
         x = rng.standard_normal((5, 2, 8, 9)).astype(dtype)
     else:
         layers = [Dense(6, 7, rng=rng, dtype=dtype), Activation("tanh", dtype=dtype),
@@ -228,7 +236,7 @@ def test_weight_gradient_of_dense_matches_closed_form():
 def test_flatten_reshape_are_exact_inverses():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
-    flat = Flatten()
+    flat = Reshape((40,))
     resh = Reshape((2, 4, 5))
     y = resh.forward(flat.forward(x))
     assert np.array_equal(x, y)

@@ -159,12 +159,6 @@ class TestUncertaintyScore:
         scores = uncertainty_aware_score(StepRamp(), None, sp, np.zeros((3, 5, 4), np.float32))
         assert np.allclose(scores, 0.6)
 
-    def test_scalar_form_for_single_sequence(self):
-        sp = sigma_points(np.zeros(6), np.zeros((6, 6)))
-        value = uncertainty_aware_score(_ConstantPredictor(0.25), None, sp,
-                                        np.zeros((5, 4), np.float32))
-        assert isinstance(value, float) and abs(value - 0.25) < 1e-7
-
     def test_result_stays_in_unit_interval_despite_negative_weights(self):
         sp = sigma_points(np.zeros(6), np.diag([0.04] * 3 + [0.0] * 3))
         scores = uncertainty_aware_score(_StatefulPredictor(), None, sp,

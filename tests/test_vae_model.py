@@ -79,6 +79,10 @@ def test_inference_leaves_no_cache():
         run()
         assert all(layer._cache is None for layer in model.layers())
         assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
+    # validation encodes and decodes after the epoch's kept passes
+    model, _ = train_vae(_toy_frames(8), TINY, seed=0, epochs=1, batch_size=4)
+    assert all(layer._cache is None for layer in model.layers())
+    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
 def test_full_loss_gradients_pass_finite_differences():
@@ -235,6 +239,13 @@ def test_bad_lrelu_slope_rejected():
     for slope in (2.0, -0.5, float("nan")):
         with pytest.raises(ShapeError, match="slope"):
             SemanticVae(VaeConfig(lrelu_slope=slope))
+
+
+@pytest.mark.parametrize("channels", [(), (8, 0, 32, 64)])
+def test_bad_encoder_channels_rejected(channels):
+    # () used to fail with IndexError while building the layers
+    with pytest.raises(ShapeError, match="enc_channels"):
+        VaeConfig(enc_channels=channels)
 
 
 def test_empty_dataset_rejected():

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from depthnav.camera import DepthFrame
 from depthnav.container import save_arrays
+from depthnav.data import label_episode
 from depthnav.errors import WorldError
 from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
@@ -707,7 +709,6 @@ class TestRollout:
         assert not episode.ended_in_collision
         assert len(episode) == 30
         assert episode.collided.sum() == 0
-        assert len(episode.extra_actions) == 0
 
     def test_ground_bound_counts_as_collision(self):
         episode = rollout_episode(empty_world(extent=500.0), hover_state([5, 250, 1.0]),
@@ -715,16 +716,22 @@ class TestRollout:
         # seed 0 draws a descending sequence; the ground ends the episode
         assert episode.ended_in_collision
         assert episode.collided[-1] == 1
-        assert len(episode.extra_actions) == 10
 
     def test_collision_ending_holds_the_last_action(self):
         # windows past a collision ending continue the sequence being flown,
         # so a positive window has the constant shape of a library primitive
+        blank = DepthFrame(np.zeros((2, 3), np.float32), np.ones((2, 3), np.uint8),
+                           np.zeros((2, 3), np.uint16))
         episode = rollout_episode(empty_world(extent=500.0), hover_state([5, 250, 1.0]),
-                                  self._sensor(), seed=0, max_steps=60)
+                                  lambda state: blank, seed=0, max_steps=60)
         assert episode.ended_in_collision
-        assert np.array_equal(episode.extra_actions,
-                              np.tile(episode.actions[-1], (len(episode.extra_actions), 1)))
+        ds = label_episode(episode, 10)
+        last = episode.actions[-1].astype(np.float32)
+        for t, window in enumerate(ds.actions):
+            past_end = window[len(episode) - t:]
+            assert len(past_end) == max(0, t + 10 - len(episode))
+            assert np.array_equal(past_end, np.tile(last, (len(past_end), 1)))
+        assert np.array_equal(ds.actions[-1], np.tile(last, (10, 1)))
 
     def test_wall_ahead_collides_within_kinematic_bound(self):
         # wall 3 m ahead; full-speed straight run must hit within
