@@ -10,7 +10,7 @@ suite, which runs the full desk-scale protocol.
 import time
 
 from depthnav.config import AppConfig, DatasetSettings, TrainSettings
-from depthnav.evaluation import MissionSetup, end_to_end_arm, modular_arm, run_campaign
+from depthnav.evaluation import end_to_end_arm, modular_arm, run_campaign
 from depthnav.pipeline import train_full_stack
 
 cfg = AppConfig(train=TrainSettings(vae_epochs=12, cpn_epochs=12, e2e_epochs=12),
@@ -20,11 +20,10 @@ stack = train_full_stack(cfg, seed=3, log_every=4)
 print(f"\ntrained everything in {time.time() - t0:.0f} s "
       f"({', '.join(f'{k} {v:.0f} s' for k, v in stack.timings.items())})")
 
-setup = MissionSetup(camera=cfg.camera, noise=cfg.noise)
 report = run_campaign(
     {"modular": modular_arm(stack.sevae, stack.cpn_modular),
      "end-to-end": end_to_end_arm(stack.cpn_end_to_end)},
-    environments=("sparse",), runs=4, base_seed=500, setup=setup,
+    environments=("sparse",), runs=4, base_seed=500, setup=cfg,
     progress=lambda env, seed, name, r: print(f"  {env} seed {seed} {name}: {r.outcome}"),
 )
 print()

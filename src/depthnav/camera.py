@@ -42,9 +42,6 @@ class DepthFrame:
     def shape(self):
         return self.x.shape
 
-    def copy(self) -> "DepthFrame":
-        return DepthFrame(self.x.copy(), self.valid.copy(), self.seg.copy())
-
 
 def check_frame_invariants(frame: DepthFrame) -> None:
     off = frame.valid == 0
@@ -99,7 +96,7 @@ def _ray_grid(height: int, width: int, fov_h: float, fov_v: float) -> np.ndarray
 
 
 def paper_camera() -> CameraModel:
-    """Full-scale input resolution (wide stereo camera downsampled for the encoder)."""
+    """Full-scale input resolution (a wide stereo camera reduced for the encoder)."""
     return CameraModel(height=270, width=480, max_range=10.0)
 
 
@@ -298,6 +295,12 @@ class NoiseParams:
         return replace(self, seed=seed)
 
 
+def frame_seed(base_seed: int, index: int) -> int:
+    """The noise seed of frame `index` of a stream seeded by `base_seed`:
+    a corpus frame or a mission's planning cycle."""
+    return int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
+
+
 def clean_noise_params() -> NoiseParams:
     """All stages off: corrupt() becomes the identity."""
     return NoiseParams(blob_count_mean=0.0, blob_radius=(0.0, 0.0), shadow_disp_jump=np.inf,
@@ -351,42 +354,6 @@ def corrupt(frame: DepthFrame, params: NoiseParams, max_range: float = 5.0) -> D
 
 
 # ---------------------------------------------------------------------------
-# Downsampling
-# ---------------------------------------------------------------------------
-
-def downsample(frame: DepthFrame, target_hw) -> DepthFrame:
-    """Reduce resolution conservatively: min-pool valid depths so the nearest
-    obstacle in each block survives; validity is any-valid; semantics come
-    from the min-depth source pixel.  Non-integer ratios fall back to
-    nearest-neighbor row/column picking before pooling by factor 1.
-    """
-    th, tw = target_hw
-    h, w = frame.shape
-    if th < 1 or tw < 1:
-        raise ShapeError(f"downsample target must be at least 1x1, got {th}x{tw}")
-    if th > h or tw > w:
-        raise ShapeError(f"cannot upsample {h}x{w} to {th}x{tw}")
-    if (th, tw) == (h, w):
-        return frame.copy()
-    if h % th or w % tw:
-        ri = np.minimum((np.arange(th) * h / th).astype(int), h - 1)
-        ci = np.minimum((np.arange(tw) * w / tw).astype(int), w - 1)
-        return DepthFrame(frame.x[np.ix_(ri, ci)], frame.valid[np.ix_(ri, ci)],
-                          frame.seg[np.ix_(ri, ci)])
-    fh, fw = h // th, w // tw
-    blocks = lambda a: a.reshape(th, fh, tw, fw).transpose(0, 2, 1, 3).reshape(th, tw, fh * fw)
-    x_b, valid_b, seg_b = blocks(frame.x), blocks(frame.valid).astype(bool), blocks(frame.seg)
-    masked = np.where(valid_b, x_b, np.inf)
-    flat_idx = masked.argmin(axis=2)
-    any_valid = valid_b.any(axis=2)
-    x_out = np.take_along_axis(masked, flat_idx[..., None], axis=2)[..., 0]
-    seg_out = np.take_along_axis(seg_b, flat_idx[..., None], axis=2)[..., 0]
-    x_out = np.where(any_valid, x_out, 0.0).astype(np.float32)
-    seg_out = np.where(any_valid, seg_out, 0).astype(np.uint16)
-    return DepthFrame(x=x_out, valid=any_valid.astype(np.uint8), seg=seg_out)
-
-
-# ---------------------------------------------------------------------------
 # PGM frame I/O (binary P5; 16-bit values are big-endian per the format)
 # ---------------------------------------------------------------------------
 
@@ -402,6 +369,8 @@ def write_pgm(path, array: np.ndarray, maxval: int) -> None:
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
+    """(samples, maxval) of a binary PGM.  ShapeError for a header that is
+    not three integers, a maxval outside 1..65535 or a short payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"P5"):
@@ -417,10 +386,18 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ShapeError(f"{path}: PGM header needs width, height and maxval as "
+                             f"integers, got {blob[start:pos]!r}")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if not 1 <= maxval <= 65535:
+        raise ShapeError(f"{path}: PGM maxval must lie in 1..65535, got {maxval}")
     dtype = ">u2" if maxval > 255 else "u1"
+    if len(blob) - pos < h * w * np.dtype(dtype).itemsize:
+        raise ShapeError(f"{path}: PGM payload holds fewer than the {w}x{h} samples "
+                         f"its header names")
     arr = np.frombuffer(blob, dtype=dtype, count=h * w, offset=pos).reshape(h, w)
     return arr.astype(np.uint16 if maxval > 255 else np.uint8), maxval
 

@@ -40,7 +40,6 @@ from .data import (
 )
 from .errors import ConfigError, DatasetError, DepthNavError
 from .evaluation import (
-    MissionSetup,
     end_to_end_arm,
     eval_reconstruction,
     fft_reconstructor,
@@ -80,11 +79,6 @@ def _setup(args) -> tuple[AppConfig, Path]:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
-
-
-def _mission_setup(cfg: AppConfig) -> MissionSetup:
-    return MissionSetup(camera=cfg.camera, noise=cfg.noise, dynamics=cfg.dynamics,
-                        planner=cfg.planner, library=cfg.library, dt=cfg.dt)
 
 
 def _need(path: Path, hint: str) -> Path:
@@ -203,8 +197,8 @@ def cmd_run_mission(args) -> int:
     cfg, out = _setup(args)
     params = world_params_fn(cfg)(args.env or cfg.environment, seed=args.seed)
     world = generate_world(params)
-    result = run_mission(world, params.course_length, _arm(args.arm, cfg, out),
-                         _mission_setup(cfg), seed=args.seed)
+    result = run_mission(world, params.course_length, _arm(args.arm, cfg, out), cfg,
+                         seed=args.seed)
     path = result.telemetry["path"]
     traj = out / "mission_trajectory.csv"
     with open(traj, "w") as fh:
@@ -223,7 +217,7 @@ def cmd_run_campaign(args) -> int:
     arms = {name: _arm(name, cfg, out) for name in map(str.strip, args.arms.split(","))}
     report = run_campaign(arms, environments=cfg.campaign.environments,
                           runs=cfg.campaign.runs, base_seed=args.seed + cfg.campaign.base_seed,
-                          setup=_mission_setup(cfg), world_params_fn=world_params_fn(cfg),
+                          setup=cfg, world_params_fn=world_params_fn(cfg),
                           progress=(lambda env, seed, name, r:
                                     print(f"  {env} seed={seed} {name}: {r.outcome}"))
                           if args.verbose else None)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .camera import CameraModel, NoiseParams, paper_camera
+from .camera import paper_camera
 from .errors import ConfigError
-from .planner import LibraryConfig, PlannerConfig
+from .evaluation import MissionSetup
 from .vae import VaeConfig, paper_vae_config
-from .world import DynamicsParams, desk_world_params, paper_world_params
+from .world import desk_world_params, paper_world_params
 
 ENVIRONMENTS = ("sparse", "medium", "dense")
 
@@ -47,17 +47,14 @@ class CampaignSettings:
     environments: tuple[str, ...] = ENVIRONMENTS
 
 
-@dataclass
-class AppConfig:
+@dataclass(frozen=True)
+class AppConfig(MissionSetup):
+    """The mission setup (camera, noise, dynamics, planner, library, dt), so
+    missions and campaigns take it as it is, plus the settings of the
+    offline stages."""
     scale: str = "desk"          # desk | paper
     environment: str = "medium"
-    camera: CameraModel = field(default_factory=CameraModel)
-    noise: NoiseParams = field(default_factory=NoiseParams)
     vae: VaeConfig = field(default_factory=VaeConfig)
-    dynamics: DynamicsParams = field(default_factory=DynamicsParams)
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    library: LibraryConfig = field(default_factory=LibraryConfig)
-    dt: float = 0.25
     train: TrainSettings = field(default_factory=TrainSettings)
     dataset: DatasetSettings = field(default_factory=DatasetSettings)
     campaign: CampaignSettings = field(default_factory=CampaignSettings)
@@ -65,7 +62,7 @@ class AppConfig:
 
 # Every INI key, by section.  A key named after a field of its section's
 # config object takes that field's type and default; load_config converts
-# the rest (degrees, the blob radius pair, the one speed, the environments).
+# the rest (degrees, the blob radius pair, the environments).
 KEYS = {
     "run": ("scale", "environment", "dt"),
     "camera": ("height", "width", "fov_h_deg", "fov_v_deg", "max_range", "min_range"),
@@ -142,12 +139,14 @@ def load_config(path=None) -> AppConfig:
     dynamics = _updated(cfg.dynamics, _given(parser, "dynamics", cfg.dynamics))
     plan = _given(parser, "planner", cfg.planner, cfg.library)
     planner = _updated(cfg.planner, plan)
-    library = _updated(cfg.library, plan, speeds=(plan.get("speed", cfg.library.speeds[0]),),
-                       fov_h=camera.fov_h, fov_v=camera.fov_v, horizon=dataset.horizon)
+    library = _updated(cfg.library, plan, fov_h=camera.fov_h, fov_v=camera.fov_v,
+                       horizon=dataset.horizon)
     train = _updated(cfg.train, _given(parser, "train", cfg.train))
     envs = _given(parser, "campaign", cfg.campaign)
     campaign = _updated(cfg.campaign, envs, environments=tuple(
         envs.get("environments", " ".join(cfg.campaign.environments)).split()))
+    if not campaign.environments:
+        raise ConfigError("[campaign] environments must name at least one environment")
     for name in campaign.environments:
         if name not in ENVIRONMENTS:
             raise ConfigError(f"[campaign] unknown environment {name!r}")

@@ -284,7 +284,8 @@ def import_depth_images(directory) -> FrameSet:
     """Build a frame set from 16-bit depth PGMs plus optional *_seg.pgm labels.
 
     Validity is inferred from zero/saturated depth values; label values map
-    directly to instance IDs.  Mixed resolutions are rejected per file.
+    directly to instance IDs.  Mixed resolutions and 8-bit depth files are
+    rejected with DatasetError.
     """
     directory = Path(directory)
     depth_files = sorted(p for p in directory.glob("*.pgm")
@@ -293,7 +294,9 @@ def import_depth_images(directory) -> FrameSet:
         raise DatasetError(f"{directory}: no depth PGM files found")
     frames, shape, bad = [], None, []
     for path in depth_files:
-        depth, _ = read_pgm(path)
+        depth, maxval = read_pgm(path)
+        if maxval <= 255:
+            raise DatasetError(f"{path}: depth PGMs must be 16-bit, got maxval {maxval}")
         seg_path = path.with_name(path.stem + "_seg.pgm")
         seg = read_pgm(seg_path)[0].astype(np.uint16) if seg_path.exists() else None
         if shape is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, NoiseParams, corrupt, render_from_state
+from .camera import CameraModel, NoiseParams, corrupt, frame_seed, render_from_state
 from .cpn import CollisionPredictor
 from .data import FrameSet
 from .errors import WorldError
@@ -54,10 +54,6 @@ def default_state_covariance() -> np.ndarray:
     return np.diag([DEFAULT_SIGMA_V**2] * 3 + [0.0] * 3)
 
 
-def _cycle_noise_seed(mission_seed: int, cycle: int) -> int:
-    return int(np.random.SeedSequence((mission_seed, cycle)).generate_state(1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Simulated vehicle (the planner's only window into the world)
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ class SimVehicle:
     # planner-facing ---------------------------------------------------------
     def observe(self):
         frame = render_from_state(self.world, self.camera, self._state)
-        noisy = corrupt(frame, self.noise.with_seed(_cycle_noise_seed(self.mission_seed, self._cycle)),
+        noisy = corrupt(frame, self.noise.with_seed(frame_seed(self.mission_seed, self._cycle)),
                         max_range=self.camera.max_range)
         to_goal = self.goal_point - self._state.position
         norm = np.linalg.norm(to_goal)
@@ -119,7 +115,6 @@ class SimVehicle:
             "path": path,
             "distance": float(path[-1, 0] - path[0, 0]),
             "min_clearance": float(batch_min_clearance(self.world, path).min()),
-            "cycles": self._cycle,
         }
 
 

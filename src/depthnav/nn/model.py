@@ -108,6 +108,8 @@ def fit(build, rng, n: int, batch_loss, validate, stats_type, *, epochs: int, lr
                             f"got {batch_size} and {epochs}")
     if not 0.0 < split_ratio <= 1.0:
         raise TrainingError(f"split_ratio must lie in (0, 1], got {split_ratio}")
+    if not 0.0 < lr < np.inf:  # also false for NaN
+        raise TrainingError(f"lr must be finite and > 0, got {lr}")
     model = build(int(rng.integers(2**31)))
     order = rng.permutation(n)
     n_train = max(1, int(round(split_ratio * n)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, NoiseParams, corrupt, render_from_state
+from .camera import CameraModel, NoiseParams, corrupt, frame_seed, render_from_state
 from .config import AppConfig, world_params_fn
 from .cpn import END_TO_END, MODULAR, CollisionPredictor, CpnConfig, train_cpn
 from .data import (
@@ -32,10 +32,6 @@ from .world import (
     rollout_episode,
     wrap_angle,
 )
-
-
-def _frame_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
 
 
 # consecutive pose draws that may all miss before a world counts as having no
@@ -81,7 +77,7 @@ def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
     out_val = np.empty_like(frames.valid)
     out_seg = np.empty_like(frames.seg)
     for i in range(len(frames)):
-        noisy = corrupt(frames.frame(i), noise.with_seed(_frame_seed(base_seed, i)), max_range)
+        noisy = corrupt(frames.frame(i), noise.with_seed(frame_seed(base_seed, i)), max_range)
         out_x[i], out_val[i], out_seg[i] = noisy.x, noisy.valid, noisy.seg
     return FrameSet(out_x, out_val, out_seg)
 

@@ -32,7 +32,7 @@ from .world import rot_z
 class LibraryConfig:
     n_steer: int = 9
     n_vertical: int = 5
-    speeds: tuple[float, ...] = (1.0,)
+    speed: float = 1.0     # commanded speed of every primitive, m/s
     fov_h: float = np.deg2rad(87.0)
     fov_v: float = np.deg2rad(58.0)
     horizon: int = 10
@@ -41,12 +41,12 @@ class LibraryConfig:
     fov_margin: float = 0.9
 
     def __post_init__(self):
-        if self.n_steer < 1 or self.n_vertical < 1 or not self.speeds:
+        if self.n_steer < 1 or self.n_vertical < 1:
             raise PlannerError("library grids must be non-empty")
         if self.horizon < 1:
             raise PlannerError(f"library horizon must be >= 1, got {self.horizon}")
-        if not all(np.isfinite(v) and v > 0 for v in self.speeds):
-            raise PlannerError(f"library speeds must be finite and > 0, got {self.speeds}")
+        if not 0.0 < self.speed < np.inf:  # also false for NaN
+            raise PlannerError(f"library speed must be finite and > 0, got {self.speed!r}")
         if not 0.0 < self.fov_margin <= 1.0:  # also false for NaN
             raise PlannerError(f"library fov_margin must lie in (0, 1], got {self.fov_margin!r}")
 
@@ -57,7 +57,6 @@ class MotionPrimitiveLibrary:
     end_dirs: np.ndarray   # (N, 3) unit end-velocity directions
     steers: np.ndarray     # (N,)
     climbs: np.ndarray     # (N,)
-    speeds: np.ndarray     # (N,)
     straight_index: int
 
     def __len__(self):
@@ -65,22 +64,21 @@ class MotionPrimitiveLibrary:
 
 
 def build_library(cfg: LibraryConfig) -> MotionPrimitiveLibrary:
-    """Steering x vertical x speed grid of constant action sequences."""
+    """Steering x vertical grid of constant action sequences at the library
+    speed, climb-major."""
     half_h = cfg.fov_h / 2.0 * cfg.fov_margin
     half_v = cfg.fov_v / 2.0 * cfg.fov_margin
     steer_grid = np.linspace(-half_h, half_h, cfg.n_steer) if cfg.n_steer > 1 else np.zeros(1)
     climb_grid = np.linspace(-half_v, half_v, cfg.n_vertical) if cfg.n_vertical > 1 else np.zeros(1)
-    rows, end_dirs, steers, climbs, speeds = [], [], [], [], []
-    for speed in cfg.speeds:
-        for climb in climb_grid:
-            for steer in steer_grid:
-                v_ref = np.array([speed * np.cos(climb), 0.0, speed * np.sin(climb)])
-                rows.append(np.tile(np.array([*v_ref, steer], dtype=np.float32), (cfg.horizon, 1)))
-                end = rot_z(steer) @ v_ref
-                end_dirs.append(end / np.linalg.norm(end))
-                steers.append(steer)
-                climbs.append(climb)
-                speeds.append(speed)
+    rows, end_dirs, steers, climbs = [], [], [], []
+    for climb in climb_grid:
+        for steer in steer_grid:
+            v_ref = np.array([cfg.speed * np.cos(climb), 0.0, cfg.speed * np.sin(climb)])
+            rows.append(np.tile(np.array([*v_ref, steer], dtype=np.float32), (cfg.horizon, 1)))
+            end = rot_z(steer) @ v_ref
+            end_dirs.append(end / np.linalg.norm(end))
+            steers.append(steer)
+            climbs.append(climb)
     steers = np.asarray(steers)
     climbs = np.asarray(climbs)
     straight = np.flatnonzero((steers == 0.0) & (climbs == 0.0))
@@ -89,7 +87,7 @@ def build_library(cfg: LibraryConfig) -> MotionPrimitiveLibrary:
                            "(use odd grid sizes)")
     return MotionPrimitiveLibrary(
         actions=np.stack(rows), end_dirs=np.asarray(end_dirs), steers=steers,
-        climbs=climbs, speeds=np.asarray(speeds), straight_index=int(straight[0]),
+        climbs=climbs, straight_index=int(straight[0]),
     )
 
 
@@ -167,7 +165,6 @@ class SelectionResult:
     index: int
     safe: bool
     score: float
-    alignment: float
 
 
 def select_action(scores: np.ndarray, end_dirs: np.ndarray, goal: np.ndarray,
@@ -194,9 +191,9 @@ def select_action(scores: np.ndarray, end_dirs: np.ndarray, goal: np.ndarray,
     if np.any(safe):
         cand = np.flatnonzero(safe)
         best = cand[int(np.argmax(alignment[cand]))]
-        return SelectionResult(int(best), True, float(scores[best]), float(alignment[best]))
+        return SelectionResult(int(best), True, float(scores[best]))
     best = int(np.argmin(scores))
-    return SelectionResult(best, False, float(scores[best]), float(alignment[best]))
+    return SelectionResult(best, False, float(scores[best]))
 
 
 # ---------------------------------------------------------------------------

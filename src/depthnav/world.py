@@ -525,25 +525,22 @@ def step_with_collision(world: World, state: RobotState, action, dt: float,
 # Episode rollout (randomized action sequences until collision or timeout)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionSamplerConfig:
-    """Random constant-reference action sequences.  max_steer and max_climb
-    keep the reference direction inside the camera's field of view when a
-    sequence starts; the steer is re-applied relative to the current yaw at
-    every step, so a held sequence keeps turning and can leave the view."""
-
-    max_steer: float = 0.66      # rad, ~ horizontal FOV/2 with margin
-    max_climb: float = 0.44      # rad, ~ vertical FOV/2 with margin
-    speed_range: tuple[float, float] = (0.3, 1.3)
-    lateral_frac: float = 0.15   # small sideways reference component
+# Random constant-reference action sequences.  MAX_STEER and MAX_CLIMB keep
+# the reference direction inside the camera's field of view when a sequence
+# starts; the steer is re-applied relative to the current yaw at every step,
+# so a held sequence keeps turning and can leave the view.
+MAX_STEER = 0.66            # rad, ~ horizontal FOV/2 with margin
+MAX_CLIMB = 0.44            # rad, ~ vertical FOV/2 with margin
+SPEED_RANGE = (0.3, 1.3)    # m/s
+LATERAL_FRAC = 0.15         # small sideways reference component
 
 
-def sample_action_sequence(rng: np.random.Generator, cfg: ActionSamplerConfig, T: int) -> np.ndarray:
+def sample_action_sequence(rng: np.random.Generator, T: int) -> np.ndarray:
     """One random constant-reference sequence of T actions."""
-    speed = rng.uniform(*cfg.speed_range)
-    steer = rng.uniform(-cfg.max_steer, cfg.max_steer)
-    climb = rng.uniform(-cfg.max_climb, cfg.max_climb)
-    vy = rng.uniform(-cfg.lateral_frac, cfg.lateral_frac) * speed
+    speed = rng.uniform(*SPEED_RANGE)
+    steer = rng.uniform(-MAX_STEER, MAX_STEER)
+    climb = rng.uniform(-MAX_CLIMB, MAX_CLIMB)
+    vy = rng.uniform(-LATERAL_FRAC, LATERAL_FRAC) * speed
     action = np.array([speed * np.cos(climb), vy, speed * np.sin(climb), steer], dtype=np.float64)
     return np.tile(action, (T, 1))
 
@@ -563,8 +560,7 @@ class CollisionEpisode:
 
 def rollout_episode(world: World, start: RobotState, sensor, seed: int,
                     T: int = 10, dt: float = 0.25, max_steps: int = 120,
-                    dynamics: DynamicsParams = DynamicsParams(),
-                    sampler: ActionSamplerConfig = ActionSamplerConfig()) -> CollisionEpisode:
+                    dynamics: DynamicsParams = DynamicsParams()) -> CollisionEpisode:
     """Execute random action sequences until a collision or the step budget.
 
     `sensor` maps a RobotState to the robot's current (clean) DepthFrame.
@@ -579,7 +575,7 @@ def rollout_episode(world: World, start: RobotState, sensor, seed: int,
     frames, states, actions, collided = [], [], [], []
     state, hit = start, False
     while len(actions) < max_steps and not hit:
-        seq = sample_action_sequence(rng, sampler, T)[:max_steps - len(actions)]
+        seq = sample_action_sequence(rng, T)[:max_steps - len(actions)]
         hits, state_after = _fly(world, state, seq[None], dt, dynamics)
         for i, action in enumerate(seq):
             frames.append(sensor(state))

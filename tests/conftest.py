@@ -139,4 +139,4 @@ def desk_stack(request) -> DeskStack:
                      vanilla=stack.vanilla_vae, cpn_modular=stack.cpn_modular,
                      cpn_e2e=stack.cpn_end_to_end, eval_clean=eval_clean,
                      eval_noisy=eval_noisy, collisions=stack.collisions_clean,
-                     setup=MissionSetup(camera=cfg.camera, noise=cfg.noise), timings=timings)
+                     setup=cfg, timings=timings)

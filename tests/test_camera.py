@@ -1,4 +1,4 @@
-"""Depth rendering, the corruption model, downsampling, PGM I/O."""
+"""Depth rendering, the corruption model, PGM I/O."""
 
 import hashlib
 
@@ -14,14 +14,13 @@ from depthnav.camera import (
     clean_noise_params,
     corrupt,
     depth_pgm_to_frame,
-    downsample,
     frame_to_depth_pgm,
     paper_camera,
     read_pgm,
     render,
     write_pgm,
 )
-from depthnav.errors import ShapeError, WorldError
+from depthnav.errors import WorldError
 from depthnav.world import World, desk_world_params, empty_world, generate_world, rot_z
 
 
@@ -355,79 +354,6 @@ class TestCorrupt:
         out = corrupt(frame, params)
         scaled = out.x[out.valid > 0] * 64.0
         assert np.allclose(scaled, np.round(scaled), atol=1e-5)
-
-
-class TestDownsample:
-    def test_constant_valid_frame_stays_constant(self):
-        frame = DepthFrame(np.full((8, 12), 0.4, np.float32), np.ones((8, 12), np.uint8),
-                           np.zeros((8, 12), np.uint16))
-        out = downsample(frame, (4, 6))
-        assert np.allclose(out.x, 0.4)
-        assert out.valid.all()
-
-    def test_min_pool_block_rule(self):
-        # block {1.0 invalid, 0.4 valid, 0.6 valid, invalid} -> 0.4 valid
-        x = np.array([[1.0, 0.4], [0.6, 0.0]], np.float32)
-        valid = np.array([[0, 1], [1, 0]], np.uint8)
-        x = x * valid
-        seg = np.array([[0, 3], [2, 0]], np.uint16)
-        frame = DepthFrame(x, valid, seg)
-        out = downsample(frame, (1, 1))
-        assert out.x[0, 0] == np.float32(0.4)
-        assert out.valid[0, 0] == 1
-        assert out.seg[0, 0] == 3  # semantics follow the min-depth source
-
-    def test_all_invalid_block_stays_invalid(self):
-        frame = DepthFrame(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.uint8),
-                           np.zeros((2, 2), np.uint16))
-        out = downsample(frame, (1, 1))
-        assert out.valid[0, 0] == 0 and out.x[0, 0] == 0
-
-    def test_thin_rod_column_survives_2x_downsampling(self):
-        cam = CameraModel(height=120, width=160, offset=(0.0, 0.0, 0.0))
-        world = World(cylinders=np.array([[1.2, 0.0, 0.02, 3.0, 1.0]]),
-                      boxes=np.zeros((0, 7)), bounds=(0, 0, 10, 10), ceiling=5.0)
-        frame = render(world, cam, [0.0, 0.0, 1.0], 0.0)
-        assert (frame.seg > 0).any()
-        out = downsample(frame, (60, 80))
-        assert (out.seg > 0).any()  # min-pooling never erases the nearest rod
-        check_frame_invariants(out)
-
-    def test_conservatism_property(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(0.05, 1.0, (12, 16)).astype(np.float32)
-        valid = (rng.random((12, 16)) > 0.3).astype(np.uint8)
-        x[valid == 0] = 0
-        frame = DepthFrame(x, valid, np.zeros_like(valid, dtype=np.uint16))
-        out = downsample(frame, (6, 8))
-        for bi in range(6):
-            for bj in range(8):
-                block_valid = valid[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] > 0
-                if block_valid.any():
-                    source_min = x[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2][block_valid].min()
-                    assert out.x[bi, bj] <= source_min + 0.0
-
-    def test_upsampling_rejected(self):
-        frame = DepthFrame(np.zeros((4, 4), np.float32), np.zeros((4, 4), np.uint8),
-                           np.zeros((4, 4), np.uint16))
-        with pytest.raises(ShapeError, match="upsample"):
-            downsample(frame, (8, 8))
-
-    @pytest.mark.parametrize("target", [(0, 0), (0, 2), (2, 0), (-1, 2)])
-    def test_empty_target_rejected(self, target):
-        # (0, 0) used to die with ZeroDivisionError
-        frame = DepthFrame(np.zeros((4, 4), np.float32), np.zeros((4, 4), np.uint8),
-                           np.zeros((4, 4), np.uint16))
-        with pytest.raises(ShapeError, match="at least 1x1"):
-            downsample(frame, target)
-
-    def test_non_integer_ratio_uses_nearest_neighbor(self):
-        rng = np.random.default_rng(2)
-        x = rng.random((10, 9)).astype(np.float32)
-        frame = DepthFrame(x, np.ones((10, 9), np.uint8), np.zeros((10, 9), np.uint16))
-        out = downsample(frame, (5, 4))
-        assert out.shape == (5, 4)
-        assert np.isin(out.x, x).all()
 
 
 class TestPgm:

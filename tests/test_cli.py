@@ -84,6 +84,27 @@ def test_import_frames_round_trip(micro):
     assert np.abs(imported.x - original.x).max() < 1.0 / 65534 + 1e-7
 
 
+@pytest.mark.parametrize("depth_pgm,error", [
+    (b"P5\n80 60\n65535\n" + bytes(100), "ShapeError"),
+    (b"P5\n80 x60\n65535\n" + bytes(9600), "ShapeError"),
+    (b"P5\n80 60", "ShapeError"),
+    (b"P5\n2 2\n0\n" + bytes(4), "ShapeError"),
+    (b"P5\n2 2\n70000\n" + bytes(8), "ShapeError"),
+    (b"P5\n80 60\n255\n" + bytes([200]) * 4800, "DatasetError"),
+], ids=["short-payload", "non-integer-header", "truncated-header", "maxval-0",
+        "maxval-70000", "8-bit-depth"])
+def test_bad_depth_pgm_import_gives_one_error_line(tmp_path, capsys, depth_pgm, error):
+    # a short payload or a bad header died with an untyped ValueError; an
+    # 8-bit depth file imported every pixel as a valid 1.5 cm depth
+    (tmp_path / "pgm").mkdir()
+    (tmp_path / "pgm" / "0000.pgm").write_bytes(depth_pgm)
+    out = tmp_path / "imported"
+    assert main(["import-frames", str(tmp_path / "pgm"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+    assert not (out / "vae_frames_noisy.dset").exists()
+
+
 def test_missing_dataset_gives_machine_readable_error(tmp_path, capsys):
     code = main(["train-vae", "--out", str(tmp_path / "nothing")])
     captured = capsys.readouterr()
@@ -135,11 +156,13 @@ def test_unknown_arm_gives_one_error_line(micro, capsys):
     (["run-mission", "--arm", "oracle", "--seed", "-1"], ""),
     (["run-campaign", "--arms", "oracle"], "base_seed = -5000"),
     (["run-campaign", "--arms", "oracle"], "runs = -1"),
+    (["run-campaign", "--arms", "oracle"], "environments ="),
 ])
 def test_negative_seed_or_campaign_size_gives_one_error_line(micro, capsys, command, ini_line):
-    # a negative seed used to end in numpy's untyped ValueError; runs = -1 flew nothing
+    # a negative seed used to end in numpy's untyped ValueError; runs = -1 and
+    # an empty environment list flew nothing and exited 0
     ini, out = micro
-    ini.write_text(MICRO_INI.replace("runs = 1", ini_line or "runs = 1"))
+    ini.write_text(MICRO_INI.replace("runs = 1\nenvironments = sparse", ini_line))
     assert main([*command, "--config", str(ini), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ConfigError: ")

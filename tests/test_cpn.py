@@ -386,9 +386,12 @@ def test_checkpoints_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("schedule", [{"batch_size": 0}, {"epochs": 0},
                                       {"split_ratio": 0.0}, {"split_ratio": -1.0},
-                                      {"split_ratio": 1.01}])
+                                      {"split_ratio": 1.01}, {"lr": 0.0}, {"lr": -1e-3},
+                                      {"lr": float("nan")}])
 def test_bad_schedule_rejected_before_any_file_is_written(schedule, tmp_path):
-    with pytest.raises(TrainingError):
+    # the message names the bad setting: a NaN lr used to fail only after a
+    # step, as a non-finite latent or loss
+    with pytest.raises(TrainingError, match=next(iter(schedule))):
         train_cpn(_latent_ds(20), TINY, seed=0, out_dir=tmp_path / "out",
                   **{"epochs": 1, **schedule})
     assert not (tmp_path / "out").exists()

@@ -44,8 +44,8 @@ class TestLibrary:
             LibraryConfig(n_steer=0)
 
     @pytest.mark.parametrize("field,bad", [("horizon", 0), ("horizon", -3),
-                                           ("speeds", (float("nan"),)), ("speeds", (1.0, 0.0)),
-                                           ("speeds", (-1.0,)), ("speeds", (float("inf"),))])
+                                           ("speed", float("nan")), ("speed", 0.0),
+                                           ("speed", -1.0), ("speed", float("inf"))])
     def test_empty_horizon_or_bad_speed_rejected(self, field, bad):
         # horizon 0 used to build a (45, 0, 4) library, a NaN speed NaN actions
         with pytest.raises(PlannerError, match=field):

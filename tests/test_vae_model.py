@@ -208,9 +208,12 @@ def test_training_out_dir_files_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("schedule", [{"batch_size": 0}, {"epochs": 0},
                                       {"split_ratio": 0.0}, {"split_ratio": -0.5},
-                                      {"split_ratio": 1.5}])
+                                      {"split_ratio": 1.5}, {"lr": 0.0}, {"lr": -1e-3},
+                                      {"lr": float("nan")}])
 def test_bad_schedule_rejected_before_any_file_is_written(schedule, tmp_path):
-    with pytest.raises(TrainingError):
+    # the message names the bad setting: a NaN lr used to fail only after a
+    # step, as a non-finite latent or loss
+    with pytest.raises(TrainingError, match=next(iter(schedule))):
         train_vae(_toy_frames(8), TINY, seed=0, out_dir=tmp_path / "out",
                   **{"epochs": 1, **schedule})
     assert not (tmp_path / "out").exists()

@@ -14,7 +14,6 @@ from depthnav.planner import LibraryConfig, build_library
 from depthnav.world import (
     GRAVITY,
     SUBSTEPS,
-    ActionSamplerConfig,
     DynamicsParams,
     RobotState,
     World,
@@ -699,13 +698,11 @@ class TestRollout:
         return lambda state: None  # frames are opaque to the rollout logic
 
     def test_empty_world_times_out_with_zero_flags(self):
-        # level flight: with no obstacles, only the ground/ceiling bounds
-        # could end an episode, and level sequences never reach them
-        from depthnav.world import ActionSamplerConfig
-
-        level = ActionSamplerConfig(max_climb=0.0)
-        episode = rollout_episode(empty_world(extent=500.0), hover_state([5, 250, 1.0]),
-                                  self._sensor(), seed=0, max_steps=30, sampler=level)
+        # with no obstacles, only the ground/ceiling bounds could end an
+        # episode, and 30 steps climb or sink less than 5 m of the 250 m
+        episode = rollout_episode(empty_world(extent=500.0, ceiling=500.0),
+                                  hover_state([5, 250, 250.0]), self._sensor(), seed=0,
+                                  max_steps=30)
         assert not episode.ended_in_collision
         assert len(episode) == 30
         assert episode.collided.sum() == 0
@@ -785,7 +782,7 @@ class TestRollout:
         states, actions, collided = [], [], []
         state, hit = start, False
         while len(actions) < max_steps and not hit:
-            seq = sample_action_sequence(rng, ActionSamplerConfig(), T)
+            seq = sample_action_sequence(rng, T)
             for action in seq[:max_steps - len(actions)]:
                 states.append(state)
                 actions.append(action)
