@@ -185,9 +185,10 @@ def render(world: World, cam: CameraModel, position, yaw: float,
     n_cyl = len(rows)
     cx, cy, radius, height, cyl_iid = cyl[rows].T
     rel = np.stack([ox - cx, oy - cy], axis=1)
-    # one dot product per obstacle: BLAS may fuse its multiply-add, so an
+    # one dot product per obstacle, as a stack of (1, 2) @ (2, 1) products
+    # that runs the same per-row dot: BLAS may fuse its multiply-add, so an
     # elementwise sum of squares can differ in the last bit
-    c = np.array([r @ r for r in rel]) - radius * radius
+    c = np.matmul(rel[:, None, :], rel[:, :, None])[:, 0, 0] - radius * radius
     rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
     a = rx ** 2 + ry ** 2
     b = 2.0 * (rel[k, 0] * rx + rel[k, 1] * ry)
@@ -206,11 +207,8 @@ def render(world: World, cam: CameraModel, position, yaw: float,
     hits = [(px[side], s1[side], 2 * k[side]), (px[cap], s_cap[cap], 2 * k[cap] + 1)]
 
     rows, k, px = in_view(box, np.hypot(box[:, 2], box[:, 3]), near_box)
-    cx, cy, ex, ey, box_yaw, height, box_iid = box[rows].T
-    # scalar calls, as for a single box: a ufunc's vector loop may round
-    # differently from its scalar one
-    cb = np.array([np.cos(y) for y in box_yaw])
-    sb = np.array([np.sin(y) for y in box_yaw])
+    cx, cy, ex, ey, _, height, box_iid = box[rows].T
+    cb, sb = (col[rows] for col in world.box_cos_sin)
     o_loc = (cb * (ox - cx) + sb * (oy - cy), -sb * (ox - cx) + cb * (oy - cy),
              np.full(len(rows), oz))
     rx, ry, rz = ray_x[px], ray_y[px], ray_z[px]
@@ -312,9 +310,10 @@ def corrupt(frame: DepthFrame, params: NoiseParams, max_range: float = 5.0) -> D
     """Apply the noise model; deterministic for a given params.seed."""
     rng = np.random.default_rng(params.seed)
     h, w = frame.shape
-    x = frame.x.astype(np.float32).copy()
-    valid = frame.valid.astype(bool).copy()
-    seg = frame.seg.copy()
+    # astype copies, so x and valid are this call's own; seg is only read
+    x = frame.x.astype(np.float32)
+    valid = frame.valid.astype(bool)
+    seg = frame.seg
 
     # (a) stereo shadows: depth rising left-to-right by more than the
     # disparity threshold invalidates a band on the left of the edge
@@ -323,14 +322,17 @@ def corrupt(frame: DepthFrame, params: NoiseParams, max_range: float = 5.0) -> D
         with np.errstate(divide="ignore", invalid="ignore"):
             disp = 1.0 / depth_m
         jump = disp[:, :-1] - disp[:, 1:]  # positive where depth rises to the right
-        edge = np.nan_to_num(jump, nan=0.0) > params.shadow_disp_jump
+        # a NaN jump (an invalid pixel on either side) compares False
+        edge = jump > params.shadow_disp_jump
         for off in range(params.shadow_band):
             valid[:, : w - 1 - off] &= ~edge[:, off:]
 
     # (b) blob dropout
     n_blobs = rng.poisson(params.blob_count_mean)
     if n_blobs:
-        rows, cols = np.mgrid[0:h, 0:w]
+        # an open grid: each pixel's squared distance is the same two
+        # squares and one sum as on a full np.mgrid, with no (h, w) index grid
+        rows, cols = np.arange(h)[:, None], np.arange(w)
         for _ in range(n_blobs):
             ci, cj = rng.uniform(0, h), rng.uniform(0, w)
             rad = rng.uniform(*params.blob_radius)

@@ -14,7 +14,7 @@ without extra flags:
     depthnav run-mission --arm modular --seed 9 --out runs/a
     depthnav run-campaign --out runs/a
     depthnav dataset info runs/a/collisions_clean.dset
-    depthnav export-frames runs/a/vae_frames_noisy.dset --out runs/a/pgm
+    depthnav export-frames runs/a/vae_frames_noisy.dset   (PGMs to runs/frames)
 
 Exit status is 0 on success; failures print one machine-readable line
 `error: <Class>: <message>` on stderr and exit nonzero.
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export-frames", help="dump a dataset's frames as PGM files")
     p.add_argument("file", type=str)
-    p.add_argument("--out", type=str, default="frames")
+    p.add_argument("--out", type=str, default="runs/frames", help="PGM directory")
     p.set_defaults(fn=cmd_export_frames)
 
     p = subs.add_parser("import-frames", help="import externally labeled depth PGMs")

@@ -106,7 +106,13 @@ def load_config(path=None) -> AppConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        # a key given twice, a line that is not `key = value`, a key before
+        # any [section]; configparser's message spans lines, the CLI prints one
+        raise ConfigError(f"{path}: not a valid INI file: {' '.join(str(exc).split())}") from exc
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
         if section not in KEYS:

@@ -284,8 +284,8 @@ def import_depth_images(directory) -> FrameSet:
     """Build a frame set from 16-bit depth PGMs plus optional *_seg.pgm labels.
 
     Validity is inferred from zero/saturated depth values; label values map
-    directly to instance IDs.  Mixed resolutions and 8-bit depth files are
-    rejected with DatasetError.
+    directly to instance IDs.  Mixed resolutions and depth files whose
+    maxval is not 65535 are rejected with DatasetError.
     """
     directory = Path(directory)
     depth_files = sorted(p for p in directory.glob("*.pgm")
@@ -295,8 +295,11 @@ def import_depth_images(directory) -> FrameSet:
     frames, shape, bad = [], None, []
     for path in depth_files:
         depth, maxval = read_pgm(path)
-        if maxval <= 255:
-            raise DatasetError(f"{path}: depth PGMs must be 16-bit, got maxval {maxval}")
+        if maxval != 65535:
+            # valid depths sit on the 1..DEPTH_PGM_SCALE grid of a 16-bit
+            # file; another maxval would import every depth at the wrong scale
+            raise DatasetError(f"{path}: depth PGMs must be 16-bit with maxval 65535, "
+                               f"got maxval {maxval}")
         seg_path = path.with_name(path.stem + "_seg.pgm")
         seg = read_pgm(seg_path)[0].astype(np.uint16) if seg_path.exists() else None
         if shape is None:

@@ -23,6 +23,7 @@ first colliding substate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,75 @@ PARTIAL_STATE_DIM = 6
 
 GRAVITY = 9.81
 SUBSTEPS = 5  # integration substeps per control interval
+
+
+# ---------------------------------------------------------------------------
+# Draws from one raw PCG64 stream
+# ---------------------------------------------------------------------------
+
+class _RawDraws:
+    """The draws of np.random.default_rng(seed), read from PCG64's raw
+    64-bit words in bounded blocks.
+
+    Worlds depend only on PCG64's raw output, not on the internals of numpy's
+    Generator methods.  These rules reproduce the Generator's draws bit for
+    bit, word for word:
+
+    - random() is (w >> 11) * 2**-53 of the next word w;
+    - uniform(a, b) is a + (b - a) * random();
+    - integers(m) is Lemire's method on 32-bit halves: a fresh word gives
+      its low half and keeps its high half for the next integers() call;
+      random() leaves that half alone, and m == 1 draws nothing.
+
+    A caller that tests random() values ahead of the cursor reads them with
+    ahead() and then sets `pos` past the words it used.
+    """
+
+    BLOCK = 1024  # words fetched at a time
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._u: list[float] = []      # the fetched words as random() values
+        self._raw = np.zeros(0, dtype=np.uint64)
+        self.pos = 0                   # next unread word
+        self._half = None              # buffered high half for integers()
+
+    def ahead(self, n: int) -> tuple[list[float], int]:
+        """(u, pos) with at least n values fetched from pos on; pos stays."""
+        if self.pos + n > len(self._u):
+            raw = np.concatenate((self._raw[self.pos:],
+                                  self._bitgen.random_raw(max(n, self.BLOCK))))
+            self._raw, self._u, self.pos = raw, ((raw >> 11) * 2.0 ** -53).tolist(), 0
+        return self._u, self.pos
+
+    def random(self) -> float:
+        u, pos = self.ahead(1)
+        self.pos = pos + 1
+        return u[pos]
+
+    def uniform(self, a: float, b: float) -> float:
+        return a + (b - a) * self.random()
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        self.ahead(1)
+        word = int(self._raw[self.pos])
+        self.pos += 1
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, m: int) -> int:
+        """An integer in [0, m) for 1 <= m <= 2**32."""
+        if m == 1:
+            return 0
+        prod = self._uint32() * m
+        if (prod & 0xFFFFFFFF) < m:
+            threshold = (2**32 - m) % m
+            while (prod & 0xFFFFFFFF) < threshold:
+                prod = self._uint32() * m
+        return prod >> 32
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +131,11 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
         return np.zeros((0, 2))
     # The draws (one integer per pick, two uniforms per candidate) and the
     # arithmetic are kept exactly, so every world is reproducible bit for bit:
-    # `** 2` is pow(), which can differ from d * d in the last bit.  A pick's
-    # 2k uniforms come in one block; when a candidate before the last is
-    # accepted, the generator is rewound to the pick and redraws only the
-    # uniforms used, which leaves it where one-at-a-time draws would.
-    # Restoring the saved state (not advance()) keeps PCG64's buffered
-    # half-word that integers() reads.
-    rng = np.random.default_rng(seed)
-    bitgen = rng.bit_generator
+    # `** 2` is pow(), which can differ from d * d in the last bit.  The draws
+    # come from one raw PCG64 stream (_RawDraws).  A pick reads its 2k
+    # uniforms ahead of the cursor and then consumes only those it tested:
+    # the words up to and including an accepted candidate's, else all 2k.
+    draws = _RawDraws(seed)
     cell = r / math.sqrt(2.0)
     gw, gh = int(math.ceil(w / cell)), int(math.ceil(h / cell))
     # flat background grid: cell (gx, gy) at gx * gh + gy lists the points of
@@ -87,14 +154,13 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
         points.append(p)
         active.append(p)
 
-    place((x0 + rng.random() * w, y0 + rng.random() * h))
+    place((x0 + draws.random() * w, y0 + draws.random() * h))
     n = 2 * k
     while active:
-        pick = int(rng.integers(len(active)))
+        pick = draws.integers(len(active))
         bx, by = active[pick]
-        saved = bitgen.state
-        u = rng.random(n).tolist()
-        for i in range(0, n, 2):
+        u, c = draws.ahead(n)
+        for i in range(c, c + n, 2):
             rad = r * (1.0 + u[i])
             ang = u[i + 1] * two_pi
             px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
@@ -106,11 +172,10 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
                     break
             else:
                 place((px, py))
-                if i + 2 < n:
-                    bitgen.state = saved
-                    rng.random(i + 2)
+                draws.pos = i + 2
                 break
         else:
+            draws.pos = c + n
             active[pick] = active[-1]
             active.pop()
     return np.array(points)
@@ -198,6 +263,14 @@ class World:
     def obstacle_count(self) -> int:
         return len(self.cylinders) + len(self.boxes)
 
+    @functools.cached_property
+    def box_cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of every box's yaw, taken once per world by scalar
+        calls, as for a single box: a ufunc's vector loop may round
+        differently from its scalar one."""
+        return (np.array([np.cos(y) for y in self.boxes[:, 4]]),
+                np.array([np.sin(y) for y in self.boxes[:, 4]]))
+
 
 def generate_world(params: WorldGenParams) -> World:
     """Build the three-section course; deterministic per params.seed."""
@@ -209,39 +282,37 @@ def generate_world(params: WorldGenParams) -> World:
     cylinders, boxes = [], []
     next_iid = 1
 
-    def add_large(points, rng):
-        nonlocal cylinders, boxes
+    def add_large(points, seed):
+        draws = _RawDraws(seed)
         f_lo, f_hi = params.large_footprint
         h_lo, h_hi = params.large_height
-        for x, y in points:
-            cross = rng.uniform(f_lo, f_hi)
-            height = rng.uniform(h_lo, h_hi)
-            if rng.random() < 0.5:
+        for x, y in points.tolist():
+            cross = draws.uniform(f_lo, f_hi)
+            height = draws.uniform(h_lo, h_hi)
+            if draws.random() < 0.5:
                 cylinders.append([x, y, cross / 2.0, height, 0.0])
             else:
-                ey = rng.uniform(f_lo, f_hi) / 2.0
-                boxes.append([x, y, cross / 2.0, ey, rng.uniform(0.0, np.pi), height, 0.0])
+                ey = draws.uniform(f_lo, f_hi) / 2.0
+                boxes.append([x, y, cross / 2.0, ey, draws.uniform(0.0, np.pi), height, 0.0])
 
-    def add_rods(points, rng):
+    def add_rods(points, seed):
         nonlocal next_iid
+        draws = _RawDraws(seed)
         h_lo, h_hi = params.rod_height
-        for x, y in points:
-            height = rng.uniform(h_lo, h_hi)
+        for x, y in points.tolist():
+            height = draws.uniform(h_lo, h_hi)
             cylinders.append([x, y, params.rod_cross_section / 2.0, height, float(next_iid)])
             next_iid += 1
 
     # section 1: large only (with a clear spawn strip)
     pts = poisson_disc_sample((0.0, 0.0, s, s), r1, int(sub_seeds[0]))
     pts = pts[pts[:, 0] >= params.spawn_clear] if len(pts) else pts
-    add_large(pts, np.random.default_rng(sub_seeds[1]))
+    add_large(pts, sub_seeds[1])
     # section 2: independent large + thin samplings
-    add_large(poisson_disc_sample((s, 0.0, 2 * s, s), r2, int(sub_seeds[2])),
-              np.random.default_rng(sub_seeds[3]))
-    add_rods(poisson_disc_sample((s, 0.0, 2 * s, s), r3, int(sub_seeds[4])),
-             np.random.default_rng(sub_seeds[5]))
+    add_large(poisson_disc_sample((s, 0.0, 2 * s, s), r2, int(sub_seeds[2])), sub_seeds[3])
+    add_rods(poisson_disc_sample((s, 0.0, 2 * s, s), r3, int(sub_seeds[4])), sub_seeds[5])
     # section 3: thin rods only
-    add_rods(poisson_disc_sample((2 * s, 0.0, 3 * s, s), r4, int(sub_seeds[6])),
-             np.random.default_rng(sub_seeds[7]))
+    add_rods(poisson_disc_sample((2 * s, 0.0, 3 * s, s), r4, int(sub_seeds[6])), sub_seeds[7])
 
     return World(
         cylinders=np.array(cylinders).reshape(-1, 5),

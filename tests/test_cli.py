@@ -169,6 +169,12 @@ def test_negative_seed_or_campaign_size_gives_one_error_line(micro, capsys, comm
     assert not (out / "campaign.csv").exists()
 
 
+def test_export_frames_writes_under_runs_by_default():
+    # every subcommand's default --out lies under runs/, which .gitignore covers
+    from depthnav.cli import build_parser
+    assert build_parser().parse_args(["export-frames", "a.dset"]).out == "runs/frames"
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -180,6 +186,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad.write_text("[vae]\nlatent_dmi = 32\n")
     with pytest.raises(ConfigError, match="latent_dmi"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "[campaign]\nruns = 1\nruns = 2\n",
+    "[campaign]\nruns = 1\nthis line is not a pair\n",
+    "runs = 1\n[campaign]\n",
+], ids=["duplicate-key", "not-key-value", "key-before-section"])
+def test_config_rejects_malformed_ini(tmp_path, capsys, text):
+    # configparser's own errors used to escape untyped, as a traceback
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match="bad.ini: not a valid INI file"):
+        load_config(bad)
+    assert main(["gen-world", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key,value", [("tau_v", "0"), ("tau_yaw", "-0.4"), ("omega_max", "nan"),

@@ -309,6 +309,24 @@ class TestPgmImport:
         back = import_depth_images(tmp_path)
         assert back.valid.sum() == 0
 
+    def test_maxval_65535_depth_file_round_trips(self, tmp_path):
+        from depthnav.camera import DEPTH_PGM_SCALE, write_pgm
+        depth = np.array([[0, 1, 500, 32767], [65533, 65534, 65535, 2]], np.uint16)
+        write_pgm(tmp_path / "0000.pgm", depth, 65535)
+        back = import_depth_images(tmp_path)
+        valid = (depth > 0) & (depth < 65535)
+        assert np.array_equal(back.valid[0], valid.astype(np.uint8))
+        assert np.array_equal(back.x[0], np.where(valid, depth.astype(np.float32) / DEPTH_PGM_SCALE,
+                                                  0.0).astype(np.float32))
+
+    @pytest.mark.parametrize("maxval", [1000, 65534, 255])
+    def test_depth_file_of_another_maxval_rejected(self, tmp_path, maxval):
+        # a maxval-1000 file of 500s (half range) imported as 3.8 cm at 5 m range
+        from depthnav.camera import write_pgm
+        write_pgm(tmp_path / "0000.pgm", np.full((6, 8), min(500, maxval), np.uint16), maxval)
+        with pytest.raises(DatasetError, match=f"0000.pgm: .*maxval 65535, got maxval {maxval}"):
+            import_depth_images(tmp_path)
+
     def test_mixed_resolutions_rejected_with_file_report(self, tmp_path):
         from depthnav.camera import write_pgm
         write_pgm(tmp_path / "0000.pgm", np.full((6, 8), 100, np.uint16), 65535)

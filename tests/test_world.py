@@ -38,7 +38,7 @@ from depthnav.world import (
     world_summary,
     wrap_angle,
 )
-from depthnav.world import _fly
+from depthnav.world import _fly, _RawDraws
 
 
 def _substep(state, action, sub, params=DynamicsParams()):
@@ -108,6 +108,126 @@ class TestPoissonDisc:
         assert np.all(pts[:, 1] >= 3) and np.all(pts[:, 1] < 9)
 
 
+def _reference_poisson(region, r, seed, k=30):
+    """The sampler as it drew through np.random.Generator methods, with a
+    state rewind: the reference that the raw-word sampler must reproduce
+    bit for bit."""
+    x0, y0, x1, y1 = region
+    w, h = x1 - x0, y1 - y0
+    if w <= 0 or h <= 0:
+        return np.zeros((0, 2))
+    rng = np.random.default_rng(seed)
+    bitgen = rng.bit_generator
+    cell = r / math.sqrt(2.0)
+    gw, gh = int(math.ceil(w / cell)), int(math.ceil(h / cell))
+    near = [[] for _ in range(gw * gh)]
+    r2 = r * r
+    two_pi = 2.0 * np.pi
+    points, active = [], []
+
+    def place(p):
+        gx, gy = int((p[0] - x0) / cell), int((p[1] - y0) / cell)
+        gx, gy = min(gx, gw - 1), min(gy, gh - 1)
+        for row in range(max(gx - 2, 0) * gh, min(gx + 3, gw) * gh, gh):
+            for i in range(row + max(gy - 2, 0), row + min(gy + 3, gh)):
+                near[i].append(p)
+        points.append(p)
+        active.append(p)
+
+    place((x0 + rng.random() * w, y0 + rng.random() * h))
+    n = 2 * k
+    while active:
+        pick = int(rng.integers(len(active)))
+        bx, by = active[pick]
+        saved = bitgen.state
+        u = rng.random(n).tolist()
+        for i in range(0, n, 2):
+            rad = r * (1.0 + u[i])
+            ang = u[i + 1] * two_pi
+            px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
+            if not (x0 <= px < x1 and y0 <= py < y1):
+                continue
+            gx, gy = int((px - x0) / cell), int((py - y0) / cell)
+            for qx, qy in near[(gx if gx < gw else gw - 1) * gh + (gy if gy < gh else gh - 1)]:
+                if (px - qx) ** 2 + (py - qy) ** 2 < r2:
+                    break
+            else:
+                place((px, py))
+                if i + 2 < n:
+                    bitgen.state = saved
+                    rng.random(i + 2)
+                break
+        else:
+            active[pick] = active[-1]
+            active.pop()
+    return np.array(points)
+
+
+def _sampler_cases(n=1000):
+    """(region, r, seed, k) cases: degenerate regions, regions that hold one
+    point, tall narrow strips, desk-size and paper-size sections."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for i in range(n):
+        x0, y0 = (float(v) for v in rng.uniform(-30.0, 30.0, 2))
+        seed = int(rng.integers(2**63 - 1))
+        k = 30 if i % 4 else int(rng.integers(1, 40))
+        kind = i % 10
+        if kind == 0:    # degenerate: zero or negative width or height
+            w, h = (float(v) for v in rng.choice([0.0, -1.5, 2.0], 2, replace=False))
+            r = float(rng.uniform(0.2, 2.0))
+        elif kind == 1:  # one point: r exceeds the diagonal, so integers(1) picks
+            w, h = (float(v) for v in rng.uniform(0.01, 3.0, 2))
+            r = math.hypot(w, h) * float(rng.uniform(1.01, 3.0))
+        elif kind == 2:  # tall narrow strip
+            w, h = float(rng.uniform(0.05, 1.0)), float(rng.uniform(5.0, 25.0))
+            r = float(rng.uniform(0.3, 1.5))
+        elif kind == 3 and i % 50 == 3:  # paper-size section at paper spacings
+            w = h = 50.0
+            r = float(rng.choice([2.5, 3.0, 3.5, 4.5, 6.0, 6.5]))
+        else:
+            w, h = (float(v) for v in rng.uniform(0.5, 8.0, 2))
+            r = float(rng.uniform(0.3, 2.0))
+        cases.append(((x0, y0, x0 + w, y0 + h), r, seed, k))
+    return cases
+
+
+class TestRawDraws:
+    """The raw-word draws against np.random.Generator on the same seed."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 2])
+    def test_random_and_uniform(self, seed):
+        ref, draws = np.random.default_rng(seed), _RawDraws(seed)
+        for i in range(3 * _RawDraws.BLOCK):  # across block boundaries
+            if i % 3:
+                assert draws.random() == ref.random()
+            else:
+                a, b = -1.5 * i, 0.25 * i + 1.0
+                assert draws.uniform(a, b) == ref.uniform(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000, 10**5, 2**31 + 1, 2**32])
+    def test_integers_interleaved_with_random(self, m):
+        # random() between integers() leaves the buffered high half alone;
+        # 2**31 + 1 rejects about half the 32-bit draws
+        ref, draws = np.random.default_rng(m), _RawDraws(m)
+        for i in range(2000):
+            assert draws.integers(m) == int(ref.integers(m))
+            for _ in range(i % 3):
+                assert draws.random() == ref.random()
+
+    def test_read_ahead_then_consume(self):
+        # a pick tests words ahead of the cursor and consumes only those used
+        ref, draws = np.random.default_rng(3), _RawDraws(3)
+        for i in range(400):
+            n = 1 + i % 70 if i % 50 else 2 * _RawDraws.BLOCK
+            used = i % n
+            assert draws.integers(5 + i) == int(ref.integers(5 + i))
+            u, c = draws.ahead(n)
+            assert len(u) - c >= n
+            assert u[c:c + used] == ref.random(used).tolist()
+            draws.pos = c + used
+
+
 def _sha(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -158,6 +278,25 @@ class TestGolden:
 
 
 class TestWorldGen:
+    def test_sampler_matches_generator_reference(self):
+        cases = _sampler_cases()
+        assert len(cases) >= 1000
+        sizes = set()
+        for region, r, seed, k in cases:
+            pts = poisson_disc_sample(region, r, seed, k)
+            ref = _reference_poisson(region, r, seed, k)
+            assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes(), (region, r, seed, k)
+            sizes.add(min(len(pts), 2))
+        assert sizes == {0, 1, 2}  # degenerate, one-point and many-point cases all ran
+
+    def test_box_trig_is_the_scalar_cos_and_sin(self):
+        world = generate_world(desk_world_params("dense", seed=4))
+        cos_b, sin_b = world.box_cos_sin
+        assert len(cos_b) == len(sin_b) == len(world.boxes) > 0
+        for yaw, c, s in zip(world.boxes[:, 4], cos_b, sin_b):
+            assert c == np.cos(yaw) and s == np.sin(yaw)
+        assert world.box_cos_sin is world.box_cos_sin  # taken once per world
+
     def test_three_sections_and_thin_rules(self):
         params = desk_world_params("medium", seed=11)
         world = generate_world(params)
