@@ -15,11 +15,11 @@ convention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, WorldError
+from .errors import Checked, ShapeError, WorldError, within
 from .world import RobotState, World, obstacles_within, rot_z
 
 
@@ -54,24 +54,19 @@ def check_frame_invariants(frame: DepthFrame) -> None:
 
 
 @dataclass(frozen=True)
-class CameraModel:
-    height: int = 60
-    width: int = 80
-    fov_h: float = np.deg2rad(87.0)
-    fov_v: float = np.deg2rad(58.0)
-    max_range: float = 5.0
-    min_range: float = 0.2
-    offset: tuple[float, float, float] = (0.1, 0.0, 0.0)  # body frame
+class CameraModel(Checked, error=WorldError, prefix="camera"):
+    height: int = within(60, lo=1, integer=True)
+    width: int = within(80, lo=1, integer=True)
+    fov_h: float = within(np.deg2rad(87.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
+    fov_v: float = within(np.deg2rad(58.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
+    max_range: float = within(5.0, lo=0, lo_open=True)
+    min_range: float = within(0.2, lo=0, lo_open=True)
+    offset: tuple[float, float, float] = within((0.1, 0.0, 0.0), each=True)  # body frame
 
     def __post_init__(self):
-        for name in ("height", "width"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-                raise WorldError(f"camera {name} must be an integer >= 1, got {size!r}")
-        if not (0 < self.min_range < self.max_range):
-            raise WorldError("camera needs 0 < min_range < max_range")
-        if not (0 < self.fov_h < np.pi and 0 < self.fov_v < np.pi):
-            raise WorldError("camera FOV must lie in (0, pi)")
+        super().__post_init__()
+        if not self.min_range < self.max_range:
+            raise WorldError(f"camera min_range must be < max_range, got {self.min_range}")
 
     def ray_grid(self) -> np.ndarray:
         """Unit-forward ray directions in the camera frame, shape (H*W, 3),
@@ -255,7 +250,7 @@ def render_from_state(world: World, cam: CameraModel, state: RobotState) -> Dept
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Checked, error=WorldError, prefix="noise"):
     """Synthetic stereo-sensor degradation; all stages are seed-deterministic.
 
     Stages: random blob invalidation, one-sided stereo shadows next to
@@ -263,34 +258,23 @@ class NoiseParams:
     pixels, and range quantization.
     """
 
-    blob_count_mean: float = 2.5
-    blob_radius: tuple[float, float] = (2.0, 5.0)
-    shadow_disp_jump: float = 0.25   # 1/m disparity step that casts a shadow
-    shadow_band: int = 2             # px band width; 0 disables
-    thin_dropout_near: float = 0.05  # dropout probability at zero depth
-    thin_dropout_far: float = 0.85   # ... at max range (linear in between)
-    quant_step: float = 1.0 / 512.0  # normalized depth; 0 disables
-    seed: int = 0
+    blob_count_mean: float = within(2.5, lo=0)
+    blob_radius: tuple[float, float] = within((2.0, 5.0), lo=0, each=True)  # px, min <= max
+    shadow_disp_jump: float = within(0.25, lo=0, hi=np.inf, lo_open=True)  # 1/m; inf casts none
+    shadow_band: int = within(2, lo=0, integer=True)     # px band width; 0 disables
+    thin_dropout_near: float = within(0.05, lo=0, hi=1)  # dropout probability at zero depth
+    thin_dropout_far: float = within(0.85, lo=0, hi=1)   # ... at max range (linear in between)
+    quant_step: float = within(1.0 / 512.0, lo=0)        # normalized depth; 0 disables
+    seed: int = within(0, lo=0, integer=True)
 
     def __post_init__(self):
-        # plain comparisons, each false for NaN: with_seed runs this once per
-        # planning cycle and once per corrupted frame
-        lo, hi = self.blob_radius
-        for name, rule, ok in (
-                ("blob_count_mean", "finite and >= 0", 0.0 <= self.blob_count_mean < np.inf),
-                ("blob_radius", "finite, 0 <= blob_radius_min <= blob_radius_max",
-                 0.0 <= lo <= hi < np.inf),
-                ("shadow_disp_jump", "> 0 (inf casts no shadow)", self.shadow_disp_jump > 0.0),
-                ("shadow_band", "an integer >= 0",
-                 isinstance(self.shadow_band, (int, np.integer)) and self.shadow_band >= 0),
-                ("thin_dropout_near", "in [0, 1]", 0.0 <= self.thin_dropout_near <= 1.0),
-                ("thin_dropout_far", "in [0, 1]", 0.0 <= self.thin_dropout_far <= 1.0),
-                ("quant_step", "finite and >= 0", 0.0 <= self.quant_step < np.inf)):
-            if not ok:
-                raise WorldError(f"noise {name} must be {rule}, got {getattr(self, name)!r}")
+        super().__post_init__()
+        if not self.blob_radius[0] <= self.blob_radius[1]:
+            raise WorldError(f"noise needs blob_radius_min <= max, got {self.blob_radius}")
 
     def with_seed(self, seed: int) -> "NoiseParams":
-        return replace(self, seed=seed)
+        # dataclasses.replace, with the field walk done by the dict spread
+        return NoiseParams(**{**self.__dict__, "seed": seed})
 
 
 def frame_seed(base_seed: int, index: int) -> int:

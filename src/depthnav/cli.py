@@ -229,8 +229,7 @@ def cmd_run_campaign(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    info = dataset_info(args.file)
-    for key, value in info.items():
+    for key, value in dataset_info(args.file).items():
         print(f"{key}: {value}")
     return 0
 
@@ -262,51 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"depthnav {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("gen-world", help="generate an obstacle course")
-    _common(p)
+    def command(name, fn, help, common=True):
+        p = subs.add_parser(name, help=help)
+        if common:
+            _common(p)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("gen-world", cmd_gen_world, "generate an obstacle course")
     p.add_argument("--env", choices=["sparse", "medium", "dense"], default=None)
-    p.set_defaults(fn=cmd_gen_world)
-
-    p = subs.add_parser("render-dataset", help="render the autoencoder corpus")
-    _common(p)
-    p.set_defaults(fn=cmd_render_dataset)
-
-    p = subs.add_parser("collect-collisions", help="roll out collision episodes")
-    _common(p)
-    p.set_defaults(fn=cmd_collect_collisions)
-
-    p = subs.add_parser("train-vae", help="train the depth autoencoder")
-    _common(p)
+    command("render-dataset", cmd_render_dataset, "render the autoencoder corpus")
+    command("collect-collisions", cmd_collect_collisions, "roll out collision episodes")
+    p = command("train-vae", cmd_train_vae, "train the depth autoencoder")
     p.add_argument("--vanilla", action="store_true", help="disable semantic weighting")
     p.add_argument("--log-every", type=int, default=0)
-    p.set_defaults(fn=cmd_train_vae)
-
-    p = subs.add_parser("encode-dataset", help="corrupt + encode collision frames")
-    _common(p)
-    p.set_defaults(fn=cmd_encode_dataset)
-
-    p = subs.add_parser("train-cpn", help="train a collision predictor")
-    _common(p)
+    command("encode-dataset", cmd_encode_dataset, "corrupt + encode collision frames")
+    p = command("train-cpn", cmd_train_cpn, "train a collision predictor")
     p.add_argument("--variant", choices=["modular", "end-to-end"], default="modular")
     p.add_argument("--log-every", type=int, default=0)
-    p.set_defaults(fn=cmd_train_cpn)
-
-    p = subs.add_parser("eval-recon", help="compare reconstruction methods")
-    _common(p)
+    p = command("eval-recon", cmd_eval_recon, "compare reconstruction methods")
     p.add_argument("--fft-k", type=int, default=64)
-    p.set_defaults(fn=cmd_eval_recon)
-
-    p = subs.add_parser("run-mission", help="fly one mission")
-    _common(p)
+    p = command("run-mission", cmd_run_mission, "fly one mission")
     p.add_argument("--arm", choices=["modular", "end-to-end", "oracle"], default="modular")
     p.add_argument("--env", choices=["sparse", "medium", "dense"], default=None)
-    p.set_defaults(fn=cmd_run_mission)
-
-    p = subs.add_parser("run-campaign", help="paired-seed success-rate comparison")
-    _common(p)
+    p = command("run-campaign", cmd_run_campaign, "paired-seed success-rate comparison")
     p.add_argument("--arms", type=str, default="modular,end-to-end")
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=cmd_run_campaign)
 
     p = subs.add_parser("dataset", help="dataset container utilities")
     dsubs = p.add_subparsers(dest="dataset_command", required=True)
@@ -314,15 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("file", type=str)
     pi.set_defaults(fn=cmd_dataset)
 
-    p = subs.add_parser("export-frames", help="dump a dataset's frames as PGM files")
+    p = command("export-frames", cmd_export_frames, "dump a dataset's frames as PGM files",
+                common=False)
     p.add_argument("file", type=str)
     p.add_argument("--out", type=str, default="runs/frames", help="PGM directory")
-    p.set_defaults(fn=cmd_export_frames)
-
-    p = subs.add_parser("import-frames", help="import externally labeled depth PGMs")
-    _common(p)
+    p = command("import-frames", cmd_import_frames, "import externally labeled depth PGMs")
     p.add_argument("directory", type=str)
-    p.set_defaults(fn=cmd_import_frames)
 
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .camera import paper_camera
-from .errors import ConfigError
+from .errors import Checked, ConfigError, DepthNavError, within
 from .evaluation import MissionSetup
 from .vae import VaeConfig, paper_vae_config
 from .world import desk_world_params, paper_world_params
@@ -22,38 +22,38 @@ ENVIRONMENTS = ("sparse", "medium", "dense")
 
 
 @dataclass
-class TrainSettings:
-    vae_epochs: int = 40
-    vae_lr: float = 1e-4
-    vae_batch: int = 32
-    cpn_epochs: int = 25
-    cpn_lr: float = 1e-3
-    cpn_batch: int = 128
-    e2e_epochs: int = 25
+class TrainSettings(Checked, error=ConfigError, prefix="[train]"):
+    vae_epochs: int = within(40, lo=1, integer=True)
+    vae_lr: float = within(1e-4, lo=0, lo_open=True)
+    vae_batch: int = within(32, lo=1, integer=True)
+    cpn_epochs: int = within(25, lo=1, integer=True)
+    cpn_lr: float = within(1e-3, lo=0, lo_open=True)
+    cpn_batch: int = within(128, lo=1, integer=True)
+    e2e_epochs: int = within(25, lo=1, integer=True)
 
 
 @dataclass
-class DatasetSettings:
-    vae_frames: int = 2000
-    episodes: int = 350
-    horizon: int = 10
-    max_steps: int = 60
+class DatasetSettings(Checked, error=ConfigError, prefix="[dataset]"):
+    vae_frames: int = within(2000, lo=1, integer=True)
+    episodes: int = within(350, lo=1, integer=True)
+    horizon: int = within(10, lo=1, integer=True)
+    max_steps: int = within(60, lo=1, integer=True)
 
 
 @dataclass
-class CampaignSettings:
-    runs: int = 20
-    base_seed: int = 1000
-    environments: tuple[str, ...] = ENVIRONMENTS
+class CampaignSettings(Checked, error=ConfigError, prefix="[campaign]"):
+    runs: int = within(20, lo=1, integer=True)
+    base_seed: int = within(1000, lo=0, integer=True)
+    environments: tuple[str, ...] = within(ENVIRONMENTS, choices=ENVIRONMENTS, each=True)
 
 
 @dataclass(frozen=True)
-class AppConfig(MissionSetup):
+class AppConfig(MissionSetup, error=ConfigError, prefix="[run]"):
     """The mission setup (camera, noise, dynamics, planner, library, dt), so
     missions and campaigns take it as it is, plus the settings of the
     offline stages."""
-    scale: str = "desk"          # desk | paper
-    environment: str = "medium"
+    scale: str = within("desk", choices=("desk", "paper"))
+    environment: str = within("medium", choices=ENVIRONMENTS)
     vae: VaeConfig = field(default_factory=VaeConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     dataset: DatasetSettings = field(default_factory=DatasetSettings)
@@ -101,6 +101,15 @@ def _updated(obj, values: dict, **derived):
     return replace(obj, **{**{k: v for k, v in values.items() if k in names}, **derived})
 
 
+def _converted(obj, parser, section, **converted):
+    """`obj` with `converted`; an error names the keys set under another field."""
+    try:
+        return replace(obj, **converted)
+    except DepthNavError as exc:
+        keys = ", ".join(f"{k} = {v}" for k, v in parser.items(section) if not hasattr(obj, k))
+        raise type(exc)(f"[{section}] {keys}: {exc}") from exc
+
+
 def load_config(path=None) -> AppConfig:
     cfg = AppConfig()
     if path is None:
@@ -122,22 +131,15 @@ def load_config(path=None) -> AppConfig:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
 
     run = _given(parser, "run", cfg)
-    if run.get("scale", cfg.scale) not in ("desk", "paper"):
-        raise ConfigError(f"[run] scale must be desk or paper, got {run['scale']!r}")
-    if run.get("environment", cfg.environment) not in ENVIRONMENTS:
-        raise ConfigError(f"[run] environment must be sparse/medium/dense, "
-                          f"got {run['environment']!r}")
     dataset = _updated(cfg.dataset, _given(parser, "dataset", cfg.dataset))
-    if dataset.horizon < 1:
-        raise ConfigError(f"[dataset] horizon must be >= 1, got {dataset.horizon}")
 
     paper = run.get("scale") == "paper"
     cam = _given(parser, "camera", cfg.camera)
-    camera = _updated(paper_camera() if paper else cfg.camera, cam, **{
-        fov: np.deg2rad(cam[key]) for fov, key in (("fov_h", "fov_h_deg"), ("fov_v", "fov_v_deg"))
-        if key in cam})
+    camera = _converted(_updated(paper_camera() if paper else cfg.camera, cam), parser, "camera",
+                        **{fov: np.deg2rad(cam[key]) for fov, key in
+                           (("fov_h", "fov_h_deg"), ("fov_v", "fov_v_deg")) if key in cam})
     noise = _given(parser, "noise", cfg.noise)
-    noise = _updated(cfg.noise, noise, blob_radius=(
+    noise = _converted(_updated(cfg.noise, noise), parser, "noise", blob_radius=(
         noise.get("blob_radius_min", cfg.noise.blob_radius[0]),
         noise.get("blob_radius_max", cfg.noise.blob_radius[1])))
     vae = _updated(paper_vae_config() if paper else cfg.vae, _given(parser, "vae", cfg.vae),
@@ -151,14 +153,6 @@ def load_config(path=None) -> AppConfig:
     envs = _given(parser, "campaign", cfg.campaign)
     campaign = _updated(cfg.campaign, envs, environments=tuple(
         envs.get("environments", " ".join(cfg.campaign.environments)).split()))
-    if not campaign.environments:
-        raise ConfigError("[campaign] environments must name at least one environment")
-    for name in campaign.environments:
-        if name not in ENVIRONMENTS:
-            raise ConfigError(f"[campaign] unknown environment {name!r}")
-    if campaign.runs < 1 or campaign.base_seed < 0:
-        raise ConfigError(f"[campaign] needs runs >= 1 and base_seed >= 0, "
-                          f"got {campaign.runs} and {campaign.base_seed}")
     return _updated(cfg, run, camera=camera, noise=noise, vae=vae, dynamics=dynamics,
                     planner=planner, library=library, train=train, dataset=dataset,
                     campaign=campaign)

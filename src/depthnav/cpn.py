@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .data import mirrored_half
-from .errors import ShapeError, TrainingError
+from .errors import Checked, ShapeError, TrainingError, within
 from .nn import (
     Activation,
     Conv2d,
@@ -58,30 +58,19 @@ POS_WEIGHT_CAP = 10.0  # upper bound on the positive-class weight a split sets
 
 
 @dataclass(frozen=True)
-class CpnConfig:
-    variant: str = MODULAR
-    latent_dim: int = 32          # J (modular input width)
-    state_dim: int = 6
-    action_dim: int = 4
-    horizon: int = 10             # T
-    hidden: int = 64
-    perception_embed: int = 64
-    state_embed: int = 16
-    action_embed: int = 16
-    image_hw: tuple[int, int] = (60, 80)      # end-to-end input resolution
-    e2e_channels: tuple[int, ...] = (4, 8, 16)
-    lrelu_slope: float = 0.1
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ShapeError("horizon must be >= 1")
-        widths = (self.latent_dim, self.state_dim, self.action_dim, self.hidden,
-                  self.perception_embed, self.state_embed, self.action_embed,
-                  *self.image_hw, *self.e2e_channels)
-        if min(widths) < 1:
-            raise ShapeError(f"every layer width and image size must be >= 1, got {self}")
-        if self.variant not in (MODULAR, END_TO_END):
-            raise ShapeError(f"unknown variant {self.variant!r}")
+class CpnConfig(Checked, error=ShapeError, prefix="cpn"):
+    variant: str = within(MODULAR, choices=(MODULAR, END_TO_END))
+    latent_dim: int = within(32, lo=1, integer=True)         # J (modular input width)
+    state_dim: int = within(6, lo=1, integer=True)
+    action_dim: int = within(4, lo=1, integer=True)
+    horizon: int = within(10, lo=1, integer=True)            # T
+    hidden: int = within(64, lo=1, integer=True)
+    perception_embed: int = within(64, lo=1, integer=True)
+    state_embed: int = within(16, lo=1, integer=True)
+    action_embed: int = within(16, lo=1, integer=True)
+    image_hw: tuple[int, int] = within((60, 80), lo=1, integer=True, each=True)  # end-to-end input
+    e2e_channels: tuple[int, ...] = within((4, 8, 16), lo=1, integer=True, each=True)
+    lrelu_slope: float = within(0.1, lo=0, hi=1)
 
 
 class CollisionPredictor(Model):

@@ -19,7 +19,7 @@ import numpy as np
 from .camera import CameraModel, NoiseParams, corrupt, frame_seed, render_from_state
 from .cpn import CollisionPredictor
 from .data import FrameSet
-from .errors import WorldError
+from .errors import Checked, WorldError, within
 from .fft_codec import fft_topk_reconstruct
 from .planner import (
     LibraryConfig,
@@ -166,13 +166,13 @@ def oracle_arm(dt: float = 0.25, dynamics: DynamicsParams = DynamicsParams()):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MissionSetup:
+class MissionSetup(Checked, error=WorldError, prefix="mission"):
     camera: CameraModel = CameraModel()
     noise: NoiseParams = NoiseParams()
     dynamics: DynamicsParams = DynamicsParams()
     planner: PlannerConfig = PlannerConfig()
     library: LibraryConfig = LibraryConfig()
-    dt: float = 0.25
+    dt: float = within(0.25, lo=0, lo_open=True)  # control interval, s
 
 
 def mission_start(world: World, setup: MissionSetup, seed: int) -> RobotState:
@@ -192,6 +192,14 @@ def run_mission(world: World, course_length: float, arm_factory, setup: MissionS
     embed_fn, predictor = arm_factory(world, vehicle)
     lib = library if library is not None else build_library(setup.library)
     return receding_horizon_run(vehicle, embed_fn, predictor, lib, setup.planner)
+
+
+def _csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -218,21 +226,13 @@ class CampaignReport:
         raise KeyError((environment, method))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["environment", "method", "successes", "runs", "success_rate"])
-        for row in self.rows:
-            writer.writerow([row.environment, row.method, row.successes, row.runs,
-                             f"{row.rate:.4f}"])
-        return buf.getvalue()
+        return _csv(["environment", "method", "successes", "runs", "success_rate"],
+                    ([r.environment, r.method, r.successes, r.runs, f"{r.rate:.4f}"]
+                     for r in self.rows))
 
     def outcomes_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["environment", "seed", "method", "outcome", "cycles", "distance"])
-        for rec in self.outcomes:
-            writer.writerow([rec[0], rec[1], rec[2], rec[3], rec[4], f"{rec[5]:.3f}"])
-        return buf.getvalue()
+        return _csv(["environment", "seed", "method", "outcome", "cycles", "distance"],
+                    ([*rec[:5], f"{rec[5]:.3f}"] for rec in self.outcomes))
 
     def table(self) -> str:
         lines = [f"{'Environment':<12} {'Method':<14} {'Success':>9}"]
@@ -294,14 +294,10 @@ class ReconReport:
         raise KeyError((method, domain, metric))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["method", "domain", "whole_image_sse", "semantic_sse",
-                         "images", "semantic_images"])
-        for row in self.rows:
-            writer.writerow([row.method, row.domain, f"{row.whole_image:.6f}",
-                             f"{row.semantic:.6f}", row.n_images, row.n_semantic_images])
-        return buf.getvalue()
+        return _csv(["method", "domain", "whole_image_sse", "semantic_sse", "images",
+                     "semantic_images"],
+                    ([r.method, r.domain, f"{r.whole_image:.6f}", f"{r.semantic:.6f}", r.n_images,
+                      r.n_semantic_images] for r in self.rows))
 
     def table(self) -> str:
         header = (f"{'Method':<14} {'Domain':<10} {'Whole-image':>12} {'Semantic':>12}")

@@ -14,18 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import Checked, ShapeError, within
 
 
 @dataclass(frozen=True)
-class FftPlan:
-    height: int
-    width: int
-    k: int = 64
+class FftPlan(Checked, error=ShapeError, prefix="fft"):
+    height: int = within(lo=1, integer=True)
+    width: int = within(lo=1, integer=True)
+    k: int = within(64, lo=1, integer=True)
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.height * self.width:
-            raise ShapeError(f"k must be in [1, {self.height * self.width}], got {self.k}")
+        super().__post_init__()
+        if not self.k <= self.height * self.width:
+            raise ShapeError(f"fft k must be <= height * width, got {self.k}")
 
     @property
     def real_value_budget(self) -> int:

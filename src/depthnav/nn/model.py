@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..container import load_arrays, save_arrays
-from ..errors import CheckpointError, TrainingError
+from ..errors import CheckpointError, DepthNavError, TrainingError
 from .adam import AdamState, adam_step
 
 
@@ -57,7 +57,8 @@ class Model:
     def load(cls, path):
         """Rebuild the model from its stored config and copy every parameter
         in; CheckpointError for another kind, a config this code does not
-        know, a missing parameter or a shape mismatch."""
+        know (or whose values lie outside their ranges), a missing parameter
+        or a shape mismatch."""
         meta, arrays = load_arrays(path, CheckpointError)
         if meta.get("kind") != cls.kind:
             raise CheckpointError(f"{path}: a {meta.get('kind')!r} checkpoint, "
@@ -65,7 +66,7 @@ class Model:
         try:
             raw = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()}
             model = cls(cls.config_type(**raw), seed=0)
-        except (KeyError, AttributeError, TypeError) as exc:  # no config, or a foreign field
+        except (KeyError, AttributeError, TypeError, DepthNavError) as exc:
             raise CheckpointError(f"{path}: config does not fit: {exc}") from exc
         for name, arr in model.params().items():
             if name not in arrays:

@@ -15,12 +15,11 @@ vehicle through observe()/execute()/report() only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlannerError
+from .errors import Checked, PlannerError, within
 from .world import rot_z
 
 
@@ -29,26 +28,16 @@ from .world import rot_z
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LibraryConfig:
-    n_steer: int = 9
-    n_vertical: int = 5
-    speed: float = 1.0     # commanded speed of every primitive, m/s
-    fov_h: float = np.deg2rad(87.0)
-    fov_v: float = np.deg2rad(58.0)
-    horizon: int = 10
+class LibraryConfig(Checked, error=PlannerError, prefix="library"):
+    n_steer: int = within(9, lo=1, integer=True)
+    n_vertical: int = within(5, lo=1, integer=True)
+    speed: float = within(1.0, lo=0, lo_open=True)  # commanded speed of every primitive, m/s
+    fov_h: float = within(np.deg2rad(87.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
+    fov_v: float = within(np.deg2rad(58.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
+    horizon: int = within(10, lo=1, integer=True)
     # references start inside this fraction of the half-FOVs; the steer is
     # re-applied every step, so a held primitive can turn out of view
-    fov_margin: float = 0.9
-
-    def __post_init__(self):
-        if self.n_steer < 1 or self.n_vertical < 1:
-            raise PlannerError("library grids must be non-empty")
-        if self.horizon < 1:
-            raise PlannerError(f"library horizon must be >= 1, got {self.horizon}")
-        if not 0.0 < self.speed < np.inf:  # also false for NaN
-            raise PlannerError(f"library speed must be finite and > 0, got {self.speed!r}")
-        if not 0.0 < self.fov_margin <= 1.0:  # also false for NaN
-            raise PlannerError(f"library fov_margin must lie in (0, 1], got {self.fov_margin!r}")
+    fov_margin: float = within(0.9, lo=0, hi=1, lo_open=True)
 
 
 @dataclass
@@ -201,22 +190,10 @@ def select_action(scores: np.ndarray, end_dirs: np.ndarray, goal: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    threshold: float = 0.3             # the safe set scores below this
-    fallback_speed_scale: float = 0.5  # speed factor when nothing is safe
-    max_cycles: int = 450
-
-    def __post_init__(self):
-        if not (math.isfinite(self.threshold) and 0 < self.threshold <= 1):
-            raise PlannerError(f"planner threshold must be finite and in (0, 1], "
-                               f"got {self.threshold}")
-        if not (math.isfinite(self.fallback_speed_scale) and 0 <= self.fallback_speed_scale <= 1):
-            raise PlannerError(f"planner fallback_speed_scale must be finite and in [0, 1], "
-                               f"got {self.fallback_speed_scale}")
-        if isinstance(self.max_cycles, bool) or not isinstance(self.max_cycles, (int, np.integer)) \
-                or self.max_cycles < 1:
-            raise PlannerError(f"planner max_cycles must be an integer >= 1, "
-                               f"got {self.max_cycles!r}")
+class PlannerConfig(Checked, error=PlannerError, prefix="planner"):
+    threshold: float = within(0.3, lo=0, hi=1, lo_open=True)  # the safe set scores below this
+    fallback_speed_scale: float = within(0.5, lo=0, hi=1)  # speed factor when nothing is safe
+    max_cycles: int = within(450, lo=1, integer=True)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError
+from .errors import Checked, ShapeError, TrainingError, within
 from .nn import (
     Activation,
     Conv2d,
@@ -37,31 +37,19 @@ from .nn.layers import LOGVAR_CLAMP
 
 
 @dataclass(frozen=True)
-class VaeConfig:
-    height: int = 60
-    width: int = 80
-    latent_dim: int = 32
-    beta: float = 1.0
-    w_const: float = 6000.0
-    nu_min: float = 15.0
-    p_min: int = 40
-    enc_channels: tuple[int, ...] = (8, 16, 32, 64)
-    hidden: int = 256
-    kernel: int = 3
-    stride: int = 2
-    lrelu_slope: float = 0.1
-
-    def __post_init__(self):
-        for name, rule, ok in (  # comparisons that are false for NaN
-                ("latent_dim", ">= 1", self.latent_dim >= 1),
-                ("hidden", ">= 1", self.hidden >= 1),
-                ("enc_channels", "one or more widths >= 1", min(self.enc_channels, default=0) >= 1),
-                ("beta", "finite and > 0", 0.0 < self.beta < np.inf),
-                ("w_const", "finite and > 0", 0.0 < self.w_const < np.inf),
-                ("nu_min", "finite and >= 1", 1.0 <= self.nu_min < np.inf),
-                ("p_min", ">= 1", self.p_min >= 1)):
-            if not ok:
-                raise ShapeError(f"vae {name} must be {rule}, got {getattr(self, name)!r}")
+class VaeConfig(Checked, error=ShapeError, prefix="vae"):
+    height: int = within(60, lo=1, integer=True)
+    width: int = within(80, lo=1, integer=True)
+    latent_dim: int = within(32, lo=1, integer=True)
+    beta: float = within(1.0, lo=0, lo_open=True)
+    w_const: float = within(6000.0, lo=0, lo_open=True)
+    nu_min: float = within(15.0, lo=1)
+    p_min: int = within(40, lo=1, integer=True)
+    enc_channels: tuple[int, ...] = within((8, 16, 32, 64), lo=1, integer=True, each=True)
+    hidden: int = within(256, lo=1, integer=True)
+    kernel: int = within(3, lo=1, integer=True)
+    stride: int = within(2, lo=1, integer=True)
+    lrelu_slope: float = within(0.1, lo=0, hi=1)
 
     @property
     def beta_norm(self) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import load_arrays, save_arrays
-from .errors import WorldError
+from .errors import Checked, WorldError, within
 
 ACTION_DIM = 4
 PARTIAL_STATE_DIM = 6
@@ -186,28 +186,23 @@ def poisson_disc_sample(region, r: float, seed: int, k: int = 30) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WorldGenParams:
+class WorldGenParams(Checked, error=WorldError, prefix="world"):
     """Geometry of the three-section obstacle course.
 
     radii are the Poisson disc spacings (r1 large-only section, r2/r3 the
-    mixed section's large/thin samplings, r4 the rods-only section).
+    mixed section's large/thin samplings, r4 the rods-only section); sizes
+    are in m, and large_footprint is a cross-section range.
     """
 
-    radii: tuple[float, float, float, float]
-    section_size: float = 15.0
-    large_footprint: tuple[float, float] = (0.09, 0.45)   # cross-section range, m
-    large_height: tuple[float, float] = (1.0, 4.0)
-    rod_cross_section: float = 0.04
-    rod_height: tuple[float, float] = (2.0, 3.8)
-    ceiling: float = 4.0
-    spawn_clear: float = 1.2    # obstacle-free strip at the course start, m
-    seed: int = 0
-
-    def __post_init__(self):
-        if not all(math.isfinite(r) and r > 0 for r in self.radii):
-            raise WorldError(f"poisson radii must be finite and > 0, got {self.radii}")
-        if not (math.isfinite(self.section_size) and self.section_size > 0):
-            raise WorldError(f"section_size must be finite and > 0, got {self.section_size}")
+    radii: tuple[float, float, float, float] = within(lo=0, lo_open=True, each=True)
+    section_size: float = within(15.0, lo=0, lo_open=True)
+    large_footprint: tuple[float, float] = within((0.09, 0.45), lo=0, lo_open=True, each=True)
+    large_height: tuple[float, float] = within((1.0, 4.0), lo=0, lo_open=True, each=True)
+    rod_cross_section: float = within(0.04, lo=0, lo_open=True)
+    rod_height: tuple[float, float] = within((2.0, 3.8), lo=0, lo_open=True, each=True)
+    ceiling: float = within(4.0, lo=0, lo_open=True)
+    spawn_clear: float = within(1.2, lo=0)  # obstacle-free strip at the course start, m
+    seed: int = within(0, lo=0, integer=True)
 
     @property
     def course_length(self) -> float:
@@ -394,21 +389,12 @@ def check_collision(world: World, position: np.ndarray, radius: float) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DynamicsParams:
-    tau_v: float = 0.3      # velocity tracking time constant, s
-    tau_yaw: float = 0.4    # yaw tracking time constant, s
-    omega_max: float = 1.6  # yaw rate limit, rad/s
-    v_max: float = 1.5      # reference speed limit, m/s
-    collision_radius: float = 0.3
-
-    def __post_init__(self):
-        for name in ("tau_v", "tau_yaw", "omega_max", "v_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise WorldError(f"dynamics {name} must be finite and > 0, got {value}")
-        if not (math.isfinite(self.collision_radius) and self.collision_radius >= 0):
-            raise WorldError(f"dynamics collision_radius must be finite and >= 0, "
-                             f"got {self.collision_radius}")
+class DynamicsParams(Checked, error=WorldError, prefix="dynamics"):
+    tau_v: float = within(0.3, lo=0, lo_open=True)      # velocity tracking time constant, s
+    tau_yaw: float = within(0.4, lo=0, lo_open=True)    # yaw tracking time constant, s
+    omega_max: float = within(1.6, lo=0, lo_open=True)  # yaw rate limit, rad/s
+    v_max: float = within(1.5, lo=0, lo_open=True)      # reference speed limit, m/s
+    collision_radius: float = within(0.3, lo=0)
 
 
 @dataclass

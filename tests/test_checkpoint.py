@@ -239,6 +239,13 @@ def test_model_checkpoint_with_foreign_config_or_parameters_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="shape mismatch for 'head.bias'"):
         CollisionPredictor.load(path)
 
+    # stored values outside their declared range
+    for key, value in (("hidden", 0), ("horizon", -1), ("variant", "bogus"),
+                       ("lrelu_slope", 5.0)):
+        save_arrays(path, arrays, {**meta, "config": {**meta["config"], key: value}})
+        with pytest.raises(CheckpointError, match=f"config does not fit: .*{key}"):
+            CollisionPredictor.load(path)
+
     del meta["config"]
     save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match="config does not fit"):

@@ -265,7 +265,7 @@ def test_bad_lrelu_slope_rejected():
                                        ("e2e_channels", (4, 0, 16))])
 def test_zero_width_config_rejected(field, bad):
     # hidden = 0 used to die with ZeroDivisionError inside GRUCell
-    with pytest.raises(ShapeError, match=">= 1"):
+    with pytest.raises(ShapeError, match=rf"cpn {field} must be .*an integer in \[1, inf\)"):
         CpnConfig(**{field: bad})
 
 

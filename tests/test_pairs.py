@@ -1,6 +1,7 @@
 """The paired-run verdict of tools/pairs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,37 @@ def test_spread_wider_than_the_bound_is_unresolved():
         == (5, "within bound")
     assert pairs.verdict(parent, [141.0, 150.0, 142.0, 145.0, 143.0], "lower", 0.25)[1] == "worse"
     assert pairs.verdict(parent, [50.0, 55.0, 52.0, 58.0, 59.0], "lower", 0.25) == (5, "gain")
+
+
+@pytest.fixture()
+def repo(tmp_path, monkeypatch):
+    """A git repository holding a benchmark, committed, as pairs.py's root."""
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("print('run')\n")
+    (tmp_path / "BENCHMARK.json").write_text("{}\n")
+    (tmp_path / "src.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "parent")
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    return tmp_path
+
+
+# an edited file of each, and a new untracked one the parent's checkout lacks
+@pytest.mark.parametrize("edit", ["perfbench/run.py", "BENCHMARK.json", "perfbench/helper.py"])
+def test_refuses_to_compare_when_the_benchmark_differs(repo, edit):
+    (repo / edit).write_text("changed\n")
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["HEAD", "--workload", "fly", "--seed", "1", "--pairs", "1"])
+    message = str(exc.value.code)
+    assert message.startswith("error: BENCHMARK.json or perfbench/ differ between HEAD")
+    assert "\n" not in message  # sys.exit prints it as one line and exits 1
+
+
+def test_a_change_outside_the_benchmark_is_compared(repo):
+    (repo / "src.py").write_text("x = 2\n")
+    (repo / "notes.txt").write_text("untracked, outside the benchmark\n")
+    pairs.check_same_benchmark("HEAD")  # returns, so the pairs would run

@@ -2,12 +2,16 @@
 
     python3 tools/pairs.py PARENT_REF --workload collect --seed 202 --pairs 10
 
-Run from a depthnav checkout.  The parent is checked out into a temporary
-`git worktree`, and `perfbench/run.py` runs alternately there and in the
-working tree, N pairs of runs as long as BENCHMARK.json's run_seconds,
-with the side that runs first alternating from pair to pair.  Each run is printed as it ends.  Then, for every end-to-end metric
-in BENCHMARK.json, the script prints each side's median and quartiles, how
-many pairs the change won (ties count for neither side), and a verdict:
+Run from a depthnav checkout.  Each side runs its own copy of the benchmark,
+so the script refuses to run (exit status 1) when BENCHMARK.json or
+perfbench/ differ between the parent and the working tree, untracked files
+included.  The parent is checked out into a temporary `git worktree`, and
+`perfbench/run.py` runs alternately there and in the working tree, N pairs
+of runs as long as BENCHMARK.json's run_seconds, with the side that runs
+first alternating from pair to pair.  Each run is printed as it ends.
+Then, for every end-to-end metric in BENCHMARK.json, the script prints each
+side's median and quartiles, how many pairs the change won (ties count for
+neither side), and a verdict:
 
 - "gain": the change won at least 9 of every 10 pairs and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -84,8 +88,25 @@ def verdict(parent, change, better: str, bound: float) -> tuple[int, str]:
     return wins, "within bound"
 
 
+def check_same_benchmark(parent: str) -> None:
+    """Exit with a one-line error unless BENCHMARK.json and perfbench/ are
+    the same at `parent` and in the working tree, which has no untracked
+    file there either (the parent's checkout would lack it)."""
+    paths = ["--", "BENCHMARK.json", "perfbench"]
+    diff = subprocess.run(["git", "diff", "--quiet", parent, *paths],
+                          cwd=ROOT, capture_output=True, text=True)
+    if diff.returncode not in (0, 1):
+        sys.exit(f"error: git diff {parent} failed: {' '.join(diff.stderr.split())}")
+    untracked = subprocess.run(["git", "ls-files", "--others", "--exclude-standard", *paths],
+                               cwd=ROOT, capture_output=True, text=True).stdout
+    if diff.returncode == 1 or untracked:
+        sys.exit(f"error: BENCHMARK.json or perfbench/ differ between {parent} and the "
+                 f"working tree; each side would run its own benchmark")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    check_same_benchmark(args.parent)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     runs = {"parent": [], "change": []}
