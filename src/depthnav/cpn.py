@@ -85,31 +85,31 @@ class CollisionPredictor(Model):
         if cfg.variant == MODULAR:
             self.perception = Sequential([
                 Dense(cfg.latent_dim, cfg.perception_embed, rng=rng, name="pe", dtype=dtype),
-                Activation("lrelu", sl, name="pea", dtype=dtype),
+                Activation("lrelu", sl, name="pea"),
             ])
         else:
             layers, in_ch, hw = [], 1, cfg.image_hw
             for i, ch in enumerate(cfg.e2e_channels):
                 layers.append(Conv2d(in_ch, ch, (3, 3), 2, rng=rng, name=f"pc{i}", dtype=dtype))
-                layers.append(Activation("lrelu", sl, name=f"pc{i}a", dtype=dtype))
+                layers.append(Activation("lrelu", sl, name=f"pc{i}a"))
                 hw = conv_out_hw(hw, (3, 3), 2, 1)
                 in_ch = ch
             flat_dim = in_ch * hw[0] * hw[1]
-            layers.append(Reshape((flat_dim,), name="pf", dtype=dtype))
+            layers.append(Reshape((flat_dim,), name="pf"))
             layers.append(Dense(flat_dim, cfg.perception_embed, rng=rng, name="pe", dtype=dtype))
-            layers.append(Activation("lrelu", sl, name="pea", dtype=dtype))
+            layers.append(Activation("lrelu", sl, name="pea"))
             self.perception = Sequential(layers)
         self.state_emb = Sequential([
             Dense(cfg.state_dim, cfg.state_embed, rng=rng, name="se", dtype=dtype),
-            Activation("lrelu", sl, name="sea", dtype=dtype),
+            Activation("lrelu", sl, name="sea"),
         ])
         self.h0_net = Sequential([
             Dense(cfg.perception_embed + cfg.state_embed, cfg.hidden, rng=rng, name="h0", dtype=dtype),
-            Activation("tanh", name="h0a", dtype=dtype),
+            Activation("tanh", name="h0a"),
         ])
         self.action_emb = Sequential([
             Dense(cfg.action_dim, cfg.action_embed, rng=rng, name="ae", dtype=dtype),
-            Activation("lrelu", sl, name="aea", dtype=dtype),
+            Activation("lrelu", sl, name="aea"),
         ])
         self.gru = GRUCell(cfg.action_embed, cfg.hidden, rng=rng, name="gru", dtype=dtype)
         self.head = Dense(cfg.hidden, 1, rng=rng, name="head", dtype=dtype)
@@ -231,10 +231,8 @@ class CollisionPredictor(Model):
         logits = self._logits(perception_batch, states, actions, keep=True)
         y = labels.astype(logits.dtype)
         w = np.where(y > 0, pos_weight, 1.0).astype(logits.dtype)
-        # stable bce-with-logits
-        bce = np.maximum(logits, 0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
         denom = float(logits.size)
-        loss = float(np.sum(w * bce) / denom)
+        loss = float(np.sum(w * bce_with_logits(logits, y)) / denom)
         p = sigmoid(logits)
         dlogits = w * (p - y) / denom
         if mirrored:
@@ -250,6 +248,13 @@ class CollisionPredictor(Model):
 # ---------------------------------------------------------------------------
 # Metrics and training loop
 # ---------------------------------------------------------------------------
+
+def bce_with_logits(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-element binary cross-entropy of logits against labels y, in the
+    stable form max(l, 0) - l*y + log(1 + exp(-|l|)); the training step and
+    validation both call it."""
+    return np.maximum(logits, 0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
+
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC (Mann-Whitney U) with average ranks for ties."""
@@ -332,8 +337,7 @@ def train_cpn(ds, cfg: CpnConfig, seed: int, epochs: int = 30, lr: float = 1e-3,
             logits = model._logits(perception[idx], states_f[idx], actions_f[idx])
             y = labels[idx].astype(np.float64)
             l64 = logits.astype(np.float64)
-            bce = np.maximum(l64, 0) - l64 * y + np.log1p(np.exp(-np.abs(l64)))
-            bce_sum += float(bce.sum())
+            bce_sum += float(bce_with_logits(l64, y).sum())
             count += logits.size
             scores_all.append(sigmoid(l64))
             labels_all.append(y)

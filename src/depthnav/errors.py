@@ -44,7 +44,8 @@ class ConfigError(DepthNavError):
 class Domain:
     """The values a setting may take: one of `choices`, or a number between lo
     and hi (closed unless marked open; a side without a bound still excludes
-    infinity), an integer if `integer`; with `each`, a non-empty tuple of them."""
+    infinity), an integer if `integer`, an odd integer if `odd`; with `each`,
+    a non-empty tuple of them."""
 
     lo: float | None = None
     hi: float | None = None
@@ -53,14 +54,15 @@ class Domain:
     integer: bool = False
     choices: tuple = ()
     each: bool = False
+    odd: bool = False
 
     def rule(self) -> str:
         """The domain in words, as error messages name it: 'in (0, inf)' for
         a finite positive number, 'an integer in [1, inf)', 'one of a, b'."""
         lo = "(-inf" if self.lo is None else f"{'(' if self.lo_open else '['}{self.lo:g}"
         hi = "inf)" if self.hi is None else f"{self.hi:g}{')' if self.hi_open else ']'}"
-        text = ("one of " + ", ".join(self.choices) if self.choices else
-                f"{'an integer ' if self.integer else ''}in {lo}, {hi}")
+        kind = "an odd integer " if self.odd else "an integer " if self.integer else ""
+        text = "one of " + ", ".join(self.choices) if self.choices else f"{kind}in {lo}, {hi}"
         return f"one or more values, each {text}" if self.each else text
 
     def predicate(self):
@@ -70,9 +72,13 @@ class Domain:
         hi = self.hi if self.hi is not None and not self.hi_open else \
             math.nextafter(math.inf if self.hi is None else self.hi, -math.inf)
         choices, ints = self.choices, (int, np.integer)
+
+        def integer(v):
+            return isinstance(v, ints) and v.__class__ is not bool and lo <= v <= hi
+
         one = ((lambda v: isinstance(v, str) and v in choices) if choices else
-               (lambda v: isinstance(v, ints) and v.__class__ is not bool and lo <= v <= hi)
-               if self.integer else (lambda v: lo <= v <= hi))
+               (lambda v: integer(v) and v % 2 == 1) if self.odd else
+               integer if self.integer else (lambda v: lo <= v <= hi))
         if not self.each:
             return one
         def every(values):  # cheaper than all(map(one, values)) on short tuples
@@ -84,10 +90,10 @@ class Domain:
 
 
 def within(default=MISSING, lo=None, hi=None, *, lo_open=False, hi_open=False,
-           integer=False, choices=(), each=False):
+           integer=False, choices=(), each=False, odd=False):
     """A field of a Checked dataclass whose values must lie in this Domain."""
     return field(default=default, metadata={
-        "domain": Domain(lo, hi, lo_open, hi_open, integer, tuple(choices), each)})
+        "domain": Domain(lo, hi, lo_open, hi_open, integer, tuple(choices), each, odd)})
 
 
 @functools.cache
@@ -99,7 +105,8 @@ def _rules(cls) -> tuple:
 
 def check_fields(obj, error_cls, prefix: str) -> None:
     """Raise `error_cls` naming the first field of `obj` outside its declared
-    domain, as '<prefix> <field> must be <rule>, got <value>'."""
+    domain, as '<prefix> <field> must be <rule>, got <value>'; a numpy scalar
+    value is named as the Python number it holds."""
     values = obj.__dict__
     for name, admits, domain in _rules(type(obj)):
         try:
@@ -107,7 +114,9 @@ def check_fields(obj, error_cls, prefix: str) -> None:
         except TypeError:  # not a number, or not a sequence
             ok = False
         if not ok:
-            raise error_cls(f"{prefix} {name} must be {domain.rule()}, got {values[name]!r}")
+            value = values[name]
+            value = value.item() if isinstance(value, np.generic) else value
+            raise error_cls(f"{prefix} {name} must be {domain.rule()}, got {value!r}")
 
 
 class Checked:

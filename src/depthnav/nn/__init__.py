@@ -15,7 +15,6 @@ from .layers import (
     Sequential,
     conv_out_hw,
     leaky_relu,
-    lrelu_fingerprint,
     sample_latent,
     sample_latent_backward,
     shared_rows,
@@ -26,6 +25,6 @@ from .model import Model, fit
 __all__ = [
     "Activation", "AdamState", "Conv2d", "Deconv2d", "Dense", "GRUCell",
     "Layer", "Model", "Reshape", "Sequential", "adam_step", "conv_out_hw", "fit",
-    "leaky_relu", "lrelu_fingerprint", "max_param_error", "sample_latent",
-    "sample_latent_backward", "shared_rows", "sigmoid",
+    "leaky_relu", "max_param_error", "sample_latent", "sample_latent_backward",
+    "shared_rows", "sigmoid",
 ]

@@ -69,15 +69,14 @@ class Layer:
 
     name = "layer"
 
-    def __init__(self, dtype=DTYPE):
-        self.dtype = np.dtype(dtype)
+    def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def _register(self, **arrays) -> None:
+    def _register(self, dtype, **arrays) -> None:
         for key, value in arrays.items():
-            self.params[key] = np.ascontiguousarray(value, dtype=self.dtype)
+            self.params[key] = np.ascontiguousarray(value, dtype=dtype)
             self.grads[key] = np.zeros_like(self.params[key])
 
     def zero_grad(self) -> None:
@@ -234,17 +233,15 @@ class Conv2d(Layer):
     """Strided 2D convolution, odd square kernel k, zero padding k//2 ("same" at stride 1)."""
 
     def __init__(self, in_ch, out_ch, kernel=(3, 3), stride=1, rng=None, name="conv", dtype=DTYPE):
-        super().__init__(dtype)
+        super().__init__()
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = _conv_geometry(name, kernel, stride)
         fan_in = in_ch * self.kernel[0] * self.kernel[1]
         scale = np.sqrt(2.0 / fan_in)
         rng = rng or np.random.default_rng(0)
-        self._register(
-            weight=rng.standard_normal((out_ch, in_ch, *self.kernel)) * scale,
-            bias=np.zeros(out_ch),
-        )
+        self._register(dtype, weight=rng.standard_normal((out_ch, in_ch, *self.kernel)) * scale,
+                       bias=np.zeros(out_ch))
 
     def forward(self, x, keep=True):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -278,7 +275,7 @@ class Deconv2d(Layer):
     so decoder stacks can mirror encoder shapes exactly."""
 
     def __init__(self, in_ch, out_ch, out_hw, kernel=(3, 3), stride=1, rng=None, name="deconv", dtype=DTYPE):
-        super().__init__(dtype)
+        super().__init__()
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = _conv_geometry(name, kernel, stride)
@@ -288,10 +285,8 @@ class Deconv2d(Layer):
         rng = rng or np.random.default_rng(0)
         # Weight uses the layout of the matching forward conv (in_ch plays
         # the filter axis): deconv forward == conv input-gradient.
-        self._register(
-            weight=rng.standard_normal((in_ch, out_ch, *self.kernel)) * scale,
-            bias=np.zeros(out_ch),
-        )
+        self._register(dtype, weight=rng.standard_normal((in_ch, out_ch, *self.kernel)) * scale,
+                       bias=np.zeros(out_ch))
 
     def _check_geometry(self, in_hw):
         expect = conv_out_hw(self.out_hw, self.kernel, self.stride, self.pad)
@@ -333,15 +328,13 @@ class Deconv2d(Layer):
 
 class Dense(Layer):
     def __init__(self, in_dim, out_dim, rng=None, name="dense", dtype=DTYPE):
-        super().__init__(dtype)
+        super().__init__()
         self.name = name
         self.in_dim, self.out_dim = in_dim, out_dim
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_dim)
-        self._register(
-            weight=rng.standard_normal((in_dim, out_dim)) * scale,
-            bias=np.zeros(out_dim),
-        )
+        self._register(dtype, weight=rng.standard_normal((in_dim, out_dim)) * scale,
+                       bias=np.zeros(out_dim))
 
     def forward(self, x, keep=True):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -361,8 +354,8 @@ class Dense(Layer):
 class Activation(Layer):
     """Elementwise nonlinearity: lrelu | sigmoid | tanh."""
 
-    def __init__(self, fn="lrelu", slope=0.1, name=None, dtype=DTYPE):
-        super().__init__(dtype)
+    def __init__(self, fn="lrelu", slope=0.1, name=None):
+        super().__init__()
         if fn not in ("lrelu", "sigmoid", "tanh"):
             raise ShapeError(f"unknown activation {fn!r}")
         if fn == "lrelu":
@@ -370,12 +363,10 @@ class Activation(Layer):
         self.fn = fn
         self.slope = slope
         self.name = name or fn
-        self.last_input = None  # input of the latest kept lrelu forward, for lrelu_fingerprint
 
     def forward(self, x, keep=True):
         if self.fn == "lrelu":
             y = leaky_relu(x, self.slope)
-            self.last_input = x if keep else None
         elif self.fn == "sigmoid":
             y = sigmoid(x)
         else:
@@ -395,8 +386,8 @@ class Activation(Layer):
 
 
 class Reshape(Layer):
-    def __init__(self, target, name="reshape", dtype=DTYPE):
-        super().__init__(dtype)
+    def __init__(self, target, name="reshape"):
+        super().__init__()
         self.name = name
         self.target = tuple(target)  # per-sample shape, batch axis excluded
 
@@ -428,13 +419,14 @@ class GRUCell(Layer):
     nothing."""
 
     def __init__(self, in_dim, hidden, rng=None, name="gru", dtype=DTYPE):
-        super().__init__(dtype)
+        super().__init__()
         self.name = name
         self.in_dim, self.hidden = in_dim, hidden
         rng = rng or np.random.default_rng(0)
         sx = np.sqrt(1.0 / in_dim)
         sh = np.sqrt(1.0 / hidden)
         self._register(
+            dtype,
             wz=rng.standard_normal((in_dim, hidden)) * sx,
             wr=rng.standard_normal((in_dim, hidden)) * sx,
             wh=rng.standard_normal((in_dim, hidden)) * sx,
@@ -518,14 +510,6 @@ class Sequential:
         for layer in reversed(rest):
             dy = layer.backward(dy)
         return first.backward(dy, input_grad)
-
-
-def lrelu_fingerprint(layers) -> np.ndarray:
-    """Concatenated branch patterns of every lrelu in `layers` (for the
-    gradient checker's kink-crossing mask)."""
-    parts = [np.packbits(layer.last_input >= 0) for layer in layers
-             if getattr(layer, "fn", "") == "lrelu" and layer.last_input is not None]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
 
 def sample_latent(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ from .world import rot_z
 
 @dataclass(frozen=True)
 class LibraryConfig(Checked, error=PlannerError, prefix="library"):
-    n_steer: int = within(9, lo=1, integer=True)
-    n_vertical: int = within(5, lo=1, integer=True)
+    n_steer: int = within(9, lo=1, odd=True)     # odd, so the middle primitive flies straight
+    n_vertical: int = within(5, lo=1, odd=True)
     speed: float = within(1.0, lo=0, lo_open=True)  # commanded speed of every primitive, m/s
     fov_h: float = within(np.deg2rad(87.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
     fov_v: float = within(np.deg2rad(58.0), lo=0, hi=np.pi, lo_open=True, hi_open=True)
@@ -52,13 +52,19 @@ class MotionPrimitiveLibrary:
         return len(self.actions)
 
 
+def _grid(half: float, n: int) -> np.ndarray:
+    """n (odd) values from -half to half whose middle one is exactly 0.0, where
+    linspace can leave a residue of about 1e-16."""
+    grid = np.linspace(-half, half, n)
+    grid[n // 2] = 0.0
+    return grid
+
+
 def build_library(cfg: LibraryConfig) -> MotionPrimitiveLibrary:
     """Steering x vertical grid of constant action sequences at the library
-    speed, climb-major."""
-    half_h = cfg.fov_h / 2.0 * cfg.fov_margin
-    half_v = cfg.fov_v / 2.0 * cfg.fov_margin
-    steer_grid = np.linspace(-half_h, half_h, cfg.n_steer) if cfg.n_steer > 1 else np.zeros(1)
-    climb_grid = np.linspace(-half_v, half_v, cfg.n_vertical) if cfg.n_vertical > 1 else np.zeros(1)
+    speed, climb-major; the middle one flies straight."""
+    steer_grid = _grid(cfg.fov_h / 2.0 * cfg.fov_margin, cfg.n_steer)
+    climb_grid = _grid(cfg.fov_v / 2.0 * cfg.fov_margin, cfg.n_vertical)
     rows, end_dirs, steers, climbs = [], [], [], []
     for climb in climb_grid:
         for steer in steer_grid:
@@ -68,15 +74,10 @@ def build_library(cfg: LibraryConfig) -> MotionPrimitiveLibrary:
             end_dirs.append(end / np.linalg.norm(end))
             steers.append(steer)
             climbs.append(climb)
-    steers = np.asarray(steers)
-    climbs = np.asarray(climbs)
-    straight = np.flatnonzero((steers == 0.0) & (climbs == 0.0))
-    if len(straight) != 1:
-        raise PlannerError("library must contain the straight primitive exactly once "
-                           "(use odd grid sizes)")
+    straight = int(cfg.n_vertical // 2 * cfg.n_steer + cfg.n_steer // 2)
     return MotionPrimitiveLibrary(
-        actions=np.stack(rows), end_dirs=np.asarray(end_dirs), steers=steers,
-        climbs=climbs, straight_index=int(straight[0]),
+        actions=np.stack(rows), end_dirs=np.asarray(end_dirs), steers=np.asarray(steers),
+        climbs=np.asarray(climbs), straight_index=straight,
     )
 
 

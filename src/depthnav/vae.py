@@ -11,6 +11,8 @@ multiplied by a per-pixel semantic weight: pixels of a labeled thin
 instance with pixel count p get weight max(W_const / p, nu_min) when
 p > p_min, everything else weight 1.  Invalid pixels contribute exactly
 zero.  L_KL is the (non-negative) divergence from the unit Gaussian.
+loss_weights, recon_term and kl_batch are the terms' one definition: the
+training step and validation both call them.
 """
 
 from __future__ import annotations
@@ -67,52 +69,37 @@ class LatentCode:
 
 
 # ---------------------------------------------------------------------------
-# Loss components
+# Loss terms: the one definition that training and validation both call
 # ---------------------------------------------------------------------------
 
-def kl_loss(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """KL(q || N(0, I)) = -1/2 sum_j (1 + logvar_j - mu_j^2 - sigma_j^2), >= 0."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise ShapeError(f"kl_loss: shapes {mu.shape} vs {logvar.shape}")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
-        raise ShapeError("kl_loss: non-finite input")
-    return float(-0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar)))
-
-
-def _kl_batch(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+def kl_batch(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """KL(q || N(0, I)) = -1/2 sum_j (1 + logvar_j - mu_j^2 - sigma_j^2) per row, >= 0."""
     return -0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar), axis=1)
 
 
-def semantic_weight_mask(seg: np.ndarray, w_const: float = 6000.0, nu_min: float = 15.0,
-                         p_min: int = 40) -> np.ndarray:
-    """Per-pixel weights from instance pixel counts; background stays 1."""
-    seg = np.asarray(seg)
-    counts = np.bincount(seg.ravel().astype(np.int64))
-    table = np.ones(len(counts), dtype=np.float32)
-    for iid in range(1, len(counts)):
-        p = counts[iid]
-        if p > p_min:
-            table[iid] = max(w_const / p, nu_min)
-    return table[seg.astype(np.int64)]
+def loss_weights(valid, seg, cfg: VaeConfig, vanilla: bool = False) -> np.ndarray:
+    """Per-pixel loss weights of frames (N, H, W), float32: validity times the
+    semantic weight, or validity alone when `vanilla`.  A pixel of instance
+    i >= 1 with p > p_min pixels in its frame weighs max(w_const / p, nu_min);
+    every other pixel weighs 1."""
+    valid = np.asarray(valid)
+    weights = np.greater(valid, 0, out=np.empty(valid.shape, np.float32))  # no bool copy
+    if not vanilla:
+        for w, s in zip(weights, np.asarray(seg)):
+            s = s.astype(np.int64)
+            counts = np.bincount(s.ravel())
+            thin = counts > cfg.p_min
+            thin[0] = False  # background
+            table = np.ones(len(counts), dtype=np.float32)
+            table[thin] = np.maximum(cfg.w_const / counts[thin], cfg.nu_min)
+            w *= table[s]
+    return weights
 
 
-def recon_loss(x: np.ndarray, x_recon: np.ndarray, x_val: np.ndarray, x_seg: np.ndarray,
-               w_const: float = 6000.0, nu_min: float = 15.0, p_min: int = 40) -> float:
-    """Masked, semantically weighted sum of squared errors over one image."""
-    x, x_recon = np.asarray(x, np.float64), np.asarray(x_recon, np.float64)
-    if not (x.shape == x_recon.shape == x_val.shape == x_seg.shape):
-        raise ShapeError(
-            f"recon_loss: shapes {x.shape}, {x_recon.shape}, {x_val.shape}, {x_seg.shape}"
-        )
-    lam = semantic_weight_mask(x_seg, w_const, nu_min, p_min)
-    return float(np.sum((x - x_recon) ** 2 * (x_val > 0) * lam))
-
-
-def total_loss(x, x_recon, x_val, x_seg, mu, logvar, cfg: VaeConfig) -> float:
-    return recon_loss(x, x_recon, x_val, x_seg, cfg.w_const, cfg.nu_min, cfg.p_min) \
-        + cfg.beta_norm * kl_loss(mu, logvar)
+def recon_term(residual: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The per-pixel reconstruction loss: squared residual (reconstruction
+    minus target) times the loss weight, so invalid pixels add exactly 0."""
+    return residual * residual * weights
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +121,33 @@ class SemanticVae(Model):
         in_ch = 1
         for i, ch in enumerate(cfg.enc_channels):
             layers.append(Conv2d(in_ch, ch, k, cfg.stride, rng=rng, name=f"enc{i}", dtype=dtype))
-            layers.append(Activation("lrelu", cfg.lrelu_slope, name=f"enc{i}a", dtype=dtype))
+            layers.append(Activation("lrelu", cfg.lrelu_slope, name=f"enc{i}a"))
             trace.append(conv_out_hw(trace[-1], k, cfg.stride, cfg.kernel // 2))
             in_ch = ch
         self.flat_hw = trace[-1]
         flat_dim = cfg.enc_channels[-1] * trace[-1][0] * trace[-1][1]
-        layers.append(Reshape((flat_dim,), name="encf", dtype=dtype))
+        layers.append(Reshape((flat_dim,), name="encf"))
         layers.append(Dense(flat_dim, cfg.hidden, rng=rng, name="ench", dtype=dtype))
-        layers.append(Activation("lrelu", cfg.lrelu_slope, name="encha", dtype=dtype))
+        layers.append(Activation("lrelu", cfg.lrelu_slope, name="encha"))
         self.encoder = Sequential(layers)
         self.mu_head = Dense(cfg.hidden, cfg.latent_dim, rng=rng, name="mu", dtype=dtype)
         self.logvar_head = Dense(cfg.hidden, cfg.latent_dim, rng=rng, name="logvar", dtype=dtype)
 
         dec = [
             Dense(cfg.latent_dim, cfg.hidden, rng=rng, name="dech", dtype=dtype),
-            Activation("lrelu", cfg.lrelu_slope, name="decha", dtype=dtype),
+            Activation("lrelu", cfg.lrelu_slope, name="decha"),
             Dense(cfg.hidden, flat_dim, rng=rng, name="decf", dtype=dtype),
-            Activation("lrelu", cfg.lrelu_slope, name="decfa", dtype=dtype),
-            Reshape((cfg.enc_channels[-1], *trace[-1]), name="decr", dtype=dtype),
+            Activation("lrelu", cfg.lrelu_slope, name="decfa"),
+            Reshape((cfg.enc_channels[-1], *trace[-1]), name="decr"),
         ]
         chans = list(cfg.enc_channels[::-1][1:]) + [1]
         in_ch = cfg.enc_channels[-1]
         for i, (ch, out_hw) in enumerate(zip(chans, trace[-2::-1])):
             dec.append(Deconv2d(in_ch, ch, out_hw, k, cfg.stride, rng=rng, name=f"dec{i}", dtype=dtype))
             if i < len(chans) - 1:
-                dec.append(Activation("lrelu", cfg.lrelu_slope, name=f"dec{i}a", dtype=dtype))
+                dec.append(Activation("lrelu", cfg.lrelu_slope, name=f"dec{i}a"))
             in_ch = ch
-        dec.append(Activation("sigmoid", name="deco", dtype=dtype))
+        dec.append(Activation("sigmoid", name="deco"))
         self.decoder = Sequential(dec)
         super().__init__(cfg, self.encoder.layers + [self.mu_head, self.logvar_head]
                          + self.decoder.layers)
@@ -173,12 +160,18 @@ class SemanticVae(Model):
                 f"{self.cfg.height}x{self.cfg.width} (no silent resampling)"
             )
 
+    def _encode(self, x: np.ndarray, keep: bool):
+        """The one encoder pass: x (N, 1, H, W) -> mu, the clamped logvar and
+        the logvar head's raw output."""
+        h = self.encoder.forward(x, keep)
+        mu = self.mu_head.forward(h, keep)
+        logvar_raw = self.logvar_head.forward(h, keep)
+        return mu, np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP), logvar_raw
+
     def encode_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x: (N, H, W) normalized depth with invalid pixels already zeroed."""
         self._check_hw(x)
-        h = self.encoder.forward(np.ascontiguousarray(x[:, None], dtype=np.float32), keep=False)
-        mu = self.mu_head.forward(h, keep=False)
-        logvar = np.clip(self.logvar_head.forward(h, keep=False), -LOGVAR_CLAMP, LOGVAR_CLAMP)
+        mu, logvar, _ = self._encode(np.ascontiguousarray(x[:, None], dtype=np.float32), False)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
             raise TrainingError("encoder produced non-finite latent")
         return mu, logvar
@@ -204,7 +197,7 @@ class SemanticVae(Model):
         """One forward/backward pass over a batch.
 
         x:       (B, H, W) inputs (= reconstruction targets)
-        val_lam: (B, H, W) product of validity mask and semantic weights
+        val_lam: (B, H, W) loss weights (loss_weights)
         eps:     (B, J) reparameterization noise
         Returns (total, recon_mean, kl_mean); gradients accumulate in layers.
         """
@@ -213,16 +206,13 @@ class SemanticVae(Model):
         x = np.ascontiguousarray(x, dtype=dt)
         val_lam = np.asarray(val_lam, dtype=dt)
         eps = np.asarray(eps, dtype=dt)
-        h = self.encoder.forward(x[:, None])
-        mu = self.mu_head.forward(h)
-        logvar_raw = self.logvar_head.forward(h)
-        logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
+        mu, logvar, logvar_raw = self._encode(x[:, None], True)
         z = sample_latent(mu, logvar, eps)
         x_rec = self.decoder.forward(z.astype(dt, copy=False))[:, 0]
 
         diff = x_rec - x
-        recon_each = np.sum(diff * diff * val_lam, axis=(1, 2))
-        kl_each = _kl_batch(mu.astype(np.float64), logvar.astype(np.float64))
+        recon_each = np.sum(recon_term(diff, val_lam), axis=(1, 2))
+        kl_each = kl_batch(mu.astype(np.float64), logvar.astype(np.float64))
         recon_mean = float(recon_each.mean())
         kl_mean = float(kl_each.mean())
         total = recon_mean + self.cfg.beta_norm * kl_mean
@@ -263,18 +253,9 @@ def train_vae(frames, cfg: VaeConfig, seed: int, epochs: int = 40, lr: float = 1
     checkpoints.
     """
     x = np.asarray(frames.x, dtype=np.float32)
-    valid = np.asarray(frames.valid)
-    seg = np.asarray(frames.seg)
     if x.shape[1:] != (cfg.height, cfg.width):
         raise ShapeError(f"frames are {x.shape[1:]}, config wants {(cfg.height, cfg.width)}")
-
-    # per-frame validity*weight product, fixed for the whole run
-    val_lam = np.empty_like(x)
-    for i in range(len(x)):
-        lam = np.ones_like(x[i]) if vanilla else semantic_weight_mask(
-            seg[i], cfg.w_const, cfg.nu_min, cfg.p_min)
-        val_lam[i] = (valid[i] > 0).astype(np.float32) * lam
-
+    val_lam = loss_weights(frames.valid, frames.seg, cfg, vanilla)  # fixed for the whole run
     rng = np.random.default_rng(seed)
 
     def batch_loss(model, idx):
@@ -288,8 +269,8 @@ def train_vae(frames, cfg: VaeConfig, seed: int, epochs: int = 40, lr: float = 1
             mu, logvar = model.encode_batch(x[idx])
             x_rec = model.decode_batch(mu)
             diff = (x_rec - x[idx]).astype(np.float64)
-            recon_sum += float(np.sum(diff * diff * val_lam[idx]))
-            kl_sum += float(_kl_batch(mu.astype(np.float64), logvar.astype(np.float64)).sum())
+            recon_sum += float(np.sum(recon_term(diff, val_lam[idx])))
+            kl_sum += float(kl_batch(mu.astype(np.float64), logvar.astype(np.float64)).sum())
         recon, kl = recon_sum / len(va), kl_sum / len(va)
         return recon + cfg.beta_norm * kl, recon, kl
 

@@ -115,6 +115,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"desk stack digest {digest}")
 
 
+@pytest.fixture
+def lrelu_fingerprint():
+    """install(layers) -> fingerprint(): the concatenated sign patterns of the
+    latest kept input of every lrelu in `layers`, the gradient checker's
+    kink-crossing mask (numeric_gradient's fingerprint_fn).  It wraps those
+    layers' forward, per instance, for the rest of the test."""
+    def install(layers):
+        lrelus = [layer for layer in layers if getattr(layer, "fn", "") == "lrelu"]
+        signs = dict.fromkeys(lrelus)  # layer order; None until a kept forward
+
+        def recording(layer, forward):
+            def record(x, keep=True):
+                signs[layer] = np.packbits(x >= 0) if keep else None
+                return forward(x, keep)
+            return record
+
+        for layer in lrelus:
+            layer.forward = recording(layer, layer.forward)
+
+        def fingerprint():
+            parts = [bits for bits in signs.values() if bits is not None]
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+        return fingerprint
+    return install
+
+
 @pytest.fixture(scope="session")
 def desk_stack(request) -> DeskStack:
     """Train the full desk-scale stack once per session (tens of minutes)."""

@@ -31,7 +31,6 @@ from depthnav.nn import (
     Deconv2d,
     Dense,
     GRUCell,
-    lrelu_fingerprint,
     max_param_error,
 )
 from depthnav.planner import (
@@ -43,10 +42,10 @@ from depthnav.planner import (
 from depthnav.vae import (
     SemanticVae,
     VaeConfig,
-    kl_loss,
+    kl_batch,
+    loss_weights,
     paper_vae_config,
-    recon_loss,
-    semantic_weight_mask,
+    recon_term,
     train_vae,
 )
 from depthnav.world import (
@@ -67,7 +66,7 @@ def _report(criterion: int, detail: str):
 # 1. Gradient integrity: every layer and loss, FD error < 1e-4, 20 seeds, <2min
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_gradient_integrity():
+def test_criterion_1_gradient_integrity(lrelu_fingerprint):
     t0 = time.time()
     worst = 0.0
 
@@ -129,17 +128,16 @@ def test_criterion_1_gradient_integrity():
         seg = np.zeros((2, 12, 16), np.uint16)
         seg[:, 2:9, 3:6] = 1
         val = (rng.random(xv.shape) > 0.25).astype(np.float64)
-        lam = np.stack([semantic_weight_mask(s, tiny_vae.w_const, tiny_vae.nu_min,
-                                             tiny_vae.p_min) for s in seg])
+        weights = loss_weights(val, seg, tiny_vae)
         eps = rng.standard_normal((2, 4))
 
         def vae_fn():
             vae.zero_grad()
-            loss, _, _ = vae.loss_and_grads(xv, val * lam, eps)
+            loss, _, _ = vae.loss_and_grads(xv, weights, eps)
             return loss, {k: v.copy() for k, v in vae.grads().items()}
 
         check(vae_fn, vae.params(), max_coords=5, rng=np.random.default_rng(seed),
-              fingerprint=lambda: lrelu_fingerprint(vae.layers()))
+              fingerprint=lrelu_fingerprint(vae.layers()))
 
         # per-step cross entropy through the recurrent unrolling
         cpn = CollisionPredictor(tiny_cpn, seed=seed, dtype=np.float64)
@@ -154,7 +152,7 @@ def test_criterion_1_gradient_integrity():
             return loss, {k: v.copy() for k, v in cpn.grads().items()}
 
         check(cpn_fn, cpn.params(), max_coords=5, rng=np.random.default_rng(seed),
-              fingerprint=lambda: lrelu_fingerprint(cpn.layers()))
+              fingerprint=lrelu_fingerprint(cpn.layers()))
 
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"gradient suite took {elapsed:.0f}s (budget 120s)"
@@ -169,30 +167,35 @@ def test_criterion_2_loss_formula_unit_suite():
     assert paper_vae_config().beta_norm == 128 / 129600
     assert VaeConfig().beta_norm == 32 / 4800
 
+    # the terms train_vae's step and validation call, at the paper's
+    # constants (w_const 6000, nu_min 15, p_min 40)
+    cfg = VaeConfig()
+
     def weight_of(pixels):
-        seg = np.zeros((400, 400), np.uint16)
+        seg = np.zeros((1, 400, 400), np.uint16)
         seg.flat[:pixels] = 1
-        return semantic_weight_mask(seg, 6000.0, 15.0, 40)[0, 0]
+        return loss_weights(np.ones(seg.shape), seg, cfg)[0, 0, 0]
 
     assert weight_of(300) == 20.0
     assert weight_of(1000) == 15.0
     assert weight_of(30) == 1.0
-    seg = np.zeros((10, 10), np.uint16)
-    assert np.all(semantic_weight_mask(seg, 6000.0, 15.0, 40) == 1.0)
+    seg = np.zeros((1, 10, 10), np.uint16)
+    assert np.all(loss_weights(np.ones(seg.shape), seg, cfg) == 1.0)
 
-    assert kl_loss(np.zeros(4), np.zeros(4)) == 0.0
-    assert kl_loss(np.array([1.0]), np.array([0.0])) == 0.5
+    assert kl_batch(np.zeros((1, 4)), np.zeros((1, 4)))[0] == 0.0
+    assert kl_batch(np.array([[1.0]]), np.array([[0.0]]))[0] == 0.5
 
     rng = np.random.default_rng(0)
     x, xr = rng.random((8, 9)), rng.random((8, 9))
     val = (rng.random((8, 9)) > 0.5).astype(np.uint8)
     seg = rng.integers(0, 3, (8, 9)).astype(np.uint16)
     seg[val == 0] = 0
-    base = recon_loss(x, xr, val, seg)
+    weights = loss_weights(val[None], seg[None], cfg)[0]
+    base = np.sum(recon_term(xr - x, weights))
     x2, xr2 = x.copy(), xr.copy()
     x2[val == 0] = 123.0
     xr2[val == 0] = -55.0
-    assert recon_loss(x2, xr2, val, seg) == base
+    assert np.sum(recon_term(xr2 - x2, weights)) == base
     _report(2, "beta_norm, weight table, KL values, masking invariance all exact")
 
 

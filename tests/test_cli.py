@@ -205,15 +205,6 @@ def test_config_rejects_malformed_ini(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key,value", [("tau_v", "0"), ("tau_yaw", "-0.4"), ("omega_max", "nan"),
-                                       ("v_max", "inf"), ("collision_radius", "-0.1")])
-def test_config_rejects_bad_dynamics(tmp_path, key, value):
-    bad = tmp_path / "bad.ini"
-    bad.write_text(f"[dynamics]\n{key} = {value}\n")
-    with pytest.raises(WorldError, match=key):
-        load_config(bad)
-
-
 @pytest.mark.parametrize("key,value", [("threshold", "nan"), ("threshold", "0"),
                                        ("fallback_speed_scale", "-0.5"), ("max_cycles", "0"),
                                        ("fov_margin", "nan"), ("fov_margin", "1.5")])

@@ -6,11 +6,18 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from depthnav.cpn import END_TO_END, CollisionPredictor, CpnConfig, binary_auc, train_cpn
+from depthnav.cpn import (
+    END_TO_END,
+    CollisionPredictor,
+    CpnConfig,
+    bce_with_logits,
+    binary_auc,
+    train_cpn,
+)
 from depthnav.data import CollisionSet, FrameSet, LatentCollisionSet, mirrored_half
 from depthnav.errors import ShapeError, TrainingError
 from depthnav.evaluation import default_state_covariance
-from depthnav.nn import lrelu_fingerprint, max_param_error, sigmoid
+from depthnav.nn import max_param_error, sigmoid
 from depthnav.planner import LibraryConfig, build_library, sigma_points
 
 TINY = CpnConfig(variant="modular", latent_dim=6, horizon=4, hidden=8,
@@ -221,14 +228,12 @@ def test_library_scoring_leaves_no_recurrent_cache():
     model.score_library(rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=(4, 4, 4)))
     assert model.gru._stack == []
     assert all(layer._cache is None for layer in model.layers())
-    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
 def test_training_leaves_no_recurrent_cache():
     model, _ = train_cpn(_latent_ds(40), TINY, seed=0, epochs=1, batch_size=16)
     assert model.gru._stack == []
     assert all(layer._cache is None for layer in model.layers())
-    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
 @pytest.mark.parametrize("states,actions", [((0, 6), (3, 4, 4)), ((2, 6), (0, 4, 4)),
@@ -277,7 +282,7 @@ def test_dimension_mismatch_rejected():
         model.score_library(np.zeros(6), np.zeros((2, 6)), np.zeros((3, 4, 5)))
 
 
-def test_gradients_through_recurrent_unrolling():
+def test_gradients_through_recurrent_unrolling(lrelu_fingerprint):
     cfg = TINY
     model = CollisionPredictor(cfg, seed=6, dtype=np.float64)
     rng = np.random.default_rng(7)
@@ -293,11 +298,24 @@ def test_gradients_through_recurrent_unrolling():
 
     err = max_param_error(loss_and_grads, model.params(), max_coords=15,
                           rng=np.random.default_rng(1),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
+                          fingerprint_fn=lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
-def test_end_to_end_variant_gradients_and_shapes():
+def test_training_step_loss_is_the_weighted_mean_of_the_shared_bce():
+    """Without the pair term, loss_and_grads returns the pos_weight-weighted
+    mean of bce_with_logits, the term validation also sums."""
+    model = CollisionPredictor(TINY, seed=4)
+    ds = _latent_ds(12, seed=3)
+    loss = model.loss_and_grads(ds.mu, ds.states, ds.actions, ds.labels, pos_weight=3.0)
+    logits = model._logits(ds.mu, ds.states, ds.actions)
+    y = ds.labels.astype(np.float32)
+    w = np.where(y > 0, 3.0, 1.0).astype(np.float32)
+    assert 0 < y.sum() < y.size
+    assert loss == float(np.sum(w * bce_with_logits(logits, y)) / logits.size)
+
+
+def test_end_to_end_variant_gradients_and_shapes(lrelu_fingerprint):
     cfg = CpnConfig(variant="end-to-end", horizon=3, hidden=8, perception_embed=8,
                     state_embed=4, action_embed=4, image_hw=(12, 16), e2e_channels=(2, 3))
     model = CollisionPredictor(cfg, seed=8, dtype=np.float64)
@@ -314,7 +332,7 @@ def test_end_to_end_variant_gradients_and_shapes():
 
     err = max_param_error(loss_and_grads, model.params(), max_coords=10,
                           rng=np.random.default_rng(2),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
+                          fingerprint_fn=lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -422,7 +440,7 @@ def _mirrored_latent_ds(n=80, seed=0):
                               np.concatenate([ds.labels, ds.labels]))
 
 
-def test_mirror_pair_term_gradients():
+def test_mirror_pair_term_gradients(lrelu_fingerprint):
     rng = np.random.default_rng(7)
     cpn = CollisionPredictor(TINY, seed=3, dtype=np.float64)
     ds = _mirrored_latent_ds(3, seed=2)
@@ -436,7 +454,7 @@ def test_mirror_pair_term_gradients():
         return loss, {k: v.copy() for k, v in cpn.grads().items()}
 
     err = max_param_error(fn, cpn.params(), max_coords=5, rng=np.random.default_rng(0),
-                          fingerprint_fn=lambda: lrelu_fingerprint(cpn.layers()))
+                          fingerprint_fn=lrelu_fingerprint(cpn.layers()))
     assert err < 1e-4
 
 

@@ -34,7 +34,7 @@ from depthnav.errors import (
 )
 from depthnav.evaluation import MissionSetup
 from depthnav.fft_codec import FftPlan
-from depthnav.planner import LibraryConfig, PlannerConfig
+from depthnav.planner import LibraryConfig, PlannerConfig, build_library
 from depthnav.vae import VaeConfig
 from depthnav.world import DynamicsParams, WorldGenParams
 
@@ -76,19 +76,22 @@ def domains(cls) -> dict:
 
 def _outside(d: Domain) -> list:
     """NaN, the infinities the domain excludes, the values just outside each
-    bound, and 2.5 and True for an integer domain."""
+    bound, 2.5 and True for an integer domain, and even sizes for an odd one."""
     if d.choices:
         return ["bogus", "", NAN, 1]
     bad = [NAN, -INF]
     if not (d.hi == INF and not d.hi_open):
         bad.append(INF)
-    step = (lambda v, to: v + (1 if to > v else -1)) if d.integer else math.nextafter
+    integer = d.integer or d.odd
+    step = (lambda v, to: v + (1 if to > v else -1)) if integer else math.nextafter
     if d.lo is not None:
         bad.append(d.lo if d.lo_open else step(d.lo, -INF))
     if d.hi is not None and d.hi != INF:
         bad.append(d.hi if d.hi_open else step(d.hi, INF))
-    if d.integer:
+    if integer:
         bad += [2.5, True]
+    if d.odd:
+        bad += [2, 10, np.int64(6)]
     return bad
 
 
@@ -133,6 +136,22 @@ def test_values_the_hand_written_checks_missed_are_rejected(cls, name, value):
     error, base = CLASSES[cls]
     with pytest.raises(error, match=rf"\b{name} must be "):
         cls(**{**base, name: value})
+
+
+@pytest.mark.parametrize("n_steer,n_vertical,fov_margin", [
+    # each of these failed in flight: linspace's middle value was +-1e-16, not 0.0
+    (11, 5, 0.9), (19, 5, 0.9), (21, 5, 0.9), (9, 7, 0.9),
+    (7, 5, 0.5), (13, 5, 0.5), (7, 5, 1.0), (13, 5, 1.0),
+    (7, 5, 0.9), (1, 1, 0.9), (3, 1, 0.9),
+])
+def test_odd_grid_sizes_build_exactly_one_straight_primitive(n_steer, n_vertical, fov_margin):
+    lib = build_library(LibraryConfig(n_steer=n_steer, n_vertical=n_vertical,
+                                      fov_margin=fov_margin))
+    straight = np.flatnonzero((lib.steers == 0.0) & (lib.climbs == 0.0))
+    assert len(lib) == n_steer * n_vertical
+    assert straight.tolist() == [lib.straight_index]
+    assert np.array_equal(lib.actions[lib.straight_index],
+                          np.tile(np.float32([1.0, 0.0, 0.0, 0.0]), (lib.actions.shape[1], 1)))
 
 
 def test_with_seed_checks_the_seed():
@@ -185,6 +204,8 @@ def test_every_ini_key_has_a_declared_range():
     (dict(lo=1, integer=True), [1, np.int64(7), 2**70], [0, 1.0, 2.5, True, np.float64(3), "3"],
      "an integer in [1, inf)"),
     (dict(choices=("a", "b")), ["a", "b"], ["c", "", NAN, None], "one of a, b"),
+    (dict(lo=1, odd=True), [1, 3, np.int64(7)], [2, 0, -1, 3.0, True, np.int64(4)],
+     "an odd integer in [1, inf)"),
     (dict(lo=1, integer=True, each=True), [(1,), [2, 3]], [(), (1, 0), 1, "12", None],
      "one or more values, each an integer in [1, inf)"),
 ])
@@ -197,7 +218,8 @@ def test_domain_rules(kw, admitted, rejected, rule):
     for value in admitted:
         assert Probe(value).x is value
     for value in rejected:
-        with pytest.raises(ConfigError, match=re.escape(f"probe x must be {rule}, got {value!r}")):
+        plain = value.item() if isinstance(value, np.generic) else value  # no numpy repr
+        with pytest.raises(ConfigError, match=re.escape(f"probe x must be {rule}, got {plain!r}")):
             Probe(value)
 
 
@@ -218,6 +240,16 @@ _cli_rows += [pytest.param(text, name, id=name) for text, name in [
     ("[run]\ndt = nan\n", "dt"), ("[train]\nvae_batch = 0\n", "vae_batch"),
     ("[train]\nvae_lr = nan\n", "vae_lr"), ("[dataset]\nepisodes = 0\n", "episodes"),
     ("[dataset]\nmax_steps = 0\n", "max_steps")]]
+# an even grid size loaded and failed only when a mission built the library
+_cli_rows += [pytest.param(f"[planner]\n{key} = {value}\n",
+                           f"PlannerError: library {key} must be an odd integer",
+                           id=f"planner-{key}-{value}")
+              for key, value in [("n_steer", 4), ("n_steer", 10), ("n_vertical", 6)]]
+# the cases of the former per-section dynamics reject test
+_cli_rows += [pytest.param(f"[dynamics]\n{key} = {value}\n", f"WorldError: dynamics {key} must be",
+                           id=f"dynamics-{key}-{value}-literal")
+              for key, value in [("tau_v", "0"), ("tau_yaw", "-0.4"), ("omega_max", "nan"),
+                                 ("v_max", "inf"), ("collision_radius", "-0.1")]]
 # a key stored under another field is named with the value the file gives
 _cli_rows += [
     pytest.param("[camera]\nfov_h_deg = 200\n", "[camera] fov_h_deg = 200: camera fov_h must be",
@@ -235,6 +267,7 @@ def test_every_ini_key_out_of_range_gives_one_error_line(tmp_path, capsys, text,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"error: (Config|World|Shape|Planner)Error: ", err[0])
     assert names in err[0]
+    assert "np." not in err[0]  # values print as the Python numbers they hold
     assert not out.exists()
 
 

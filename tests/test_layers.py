@@ -15,7 +15,6 @@ from depthnav.nn import (
     Sequential,
     conv_out_hw,
     leaky_relu,
-    lrelu_fingerprint,
     max_param_error,
     sample_latent,
     sample_latent_backward,
@@ -126,11 +125,11 @@ def test_forward_is_deterministic():
 def test_backward_without_input_grad_keeps_parameter_gradients(first, dtype):
     rng = np.random.default_rng(6)
     if first == "conv":
-        layers = [Conv2d(2, 3, (3, 3), 2, rng=rng, dtype=dtype), Activation("lrelu", dtype=dtype),
-                  Reshape((3 * 4 * 5,), dtype=dtype), Dense(3 * 4 * 5, 4, rng=rng, dtype=dtype)]
+        layers = [Conv2d(2, 3, (3, 3), 2, rng=rng, dtype=dtype), Activation("lrelu"),
+                  Reshape((3 * 4 * 5,)), Dense(3 * 4 * 5, 4, rng=rng, dtype=dtype)]
         x = rng.standard_normal((5, 2, 8, 9)).astype(dtype)
     else:
-        layers = [Dense(6, 7, rng=rng, dtype=dtype), Activation("tanh", dtype=dtype),
+        layers = [Dense(6, 7, rng=rng, dtype=dtype), Activation("tanh"),
                   Dense(7, 4, rng=rng, dtype=dtype)]
         x = rng.standard_normal((5, 6)).astype(dtype)
     net = Sequential(layers)
@@ -198,7 +197,7 @@ def test_layer_gradients_match_finite_differences(name, factory, x_shape):
 def test_activation_gradients_match_finite_differences(fn):
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        act = Activation(fn, dtype=F64)
+        act = Activation(fn)
         # keep inputs away from the lrelu kink so central differences are clean
         x = rng.standard_normal((4, 6))
         x = np.where(np.abs(x) < 0.05, 0.3, x)
@@ -307,15 +306,20 @@ def test_sigmoid_bit_identical_to_split_reference(dtype):
         assert out.tobytes() == _split_sigmoid(arr).tobytes()
 
 
-def test_lrelu_fingerprint_is_the_sign_pattern_of_the_latest_input():
-    act, dense = Activation("lrelu", 0.1), Dense(3, 3, name="d")
+def test_lrelu_fingerprint_is_the_sign_pattern_of_the_latest_input(lrelu_fingerprint):
+    act, dense, later = Activation("lrelu", 0.1), Dense(3, 3, name="d"), Activation("lrelu")
+    fingerprint = lrelu_fingerprint([act, dense, later])
     x = np.array([[1.0, -2.0, 0.0], [-0.5, 3.0, -0.0]], dtype=np.float32)
-    act.forward(x)
+    assert fingerprint().size == 0
+    assert act.forward(x).tobytes() == leaky_relu(x, 0.1).tobytes()
     dense.forward(x)
-    assert np.array_equal(lrelu_fingerprint([act, dense]), np.packbits(x >= 0))
-    act.forward(-x)
-    assert np.array_equal(lrelu_fingerprint([act]), np.packbits(-x >= 0))
-    assert lrelu_fingerprint([dense]).size == 0
+    assert np.array_equal(fingerprint(), np.packbits(x >= 0))
+    later.forward(-x)
+    assert np.array_equal(fingerprint(), np.concatenate([np.packbits(x >= 0),
+                                                         np.packbits(-x >= 0)]))
+    act.forward(x, keep=False)  # a pass that no backward follows leaves no pattern
+    assert np.array_equal(fingerprint(), np.packbits(-x >= 0))
+    assert lrelu_fingerprint([dense])().size == 0
 
 
 def _lrelu_inputs(dtype):
@@ -338,7 +342,7 @@ def test_lrelu_bit_identical_to_where_reference(dtype, slope):
     with np.errstate(invalid="ignore"):
         ref_y = np.where(x >= 0, x, slope * x)
         ref_dx = dy * np.where(x >= 0, 1.0, slope).astype(dy.dtype)
-        act = Activation("lrelu", slope, dtype=dtype)
+        act = Activation("lrelu", slope)
         for arr, ref in ((x, ref_y), (x.reshape(-1, 2)[:, ::-1], ref_y.reshape(-1, 2)[:, ::-1])):
             assert leaky_relu(arr, slope).tobytes() == ref.tobytes()
             y = act.forward(arr)

@@ -52,8 +52,8 @@ class TestLibrary:
             LibraryConfig(**{field: bad})
 
     def test_even_grid_without_straight_rejected(self):
-        with pytest.raises(PlannerError, match="straight"):
-            build_library(LibraryConfig(n_steer=4))
+        with pytest.raises(PlannerError, match="n_steer must be an odd integer"):
+            LibraryConfig(n_steer=4)
 
     def test_sequences_constant_and_horizon_long(self):
         lib = build_library(LibraryConfig(horizon=7))

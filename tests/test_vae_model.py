@@ -10,8 +10,15 @@ import pytest
 from depthnav.camera import DepthFrame
 from depthnav.data import FrameSet
 from depthnav.errors import ShapeError, TrainingError
-from depthnav.nn import max_param_error
-from depthnav.vae import SemanticVae, VaeConfig, semantic_weight_mask, train_vae
+from depthnav.nn import max_param_error, sample_latent
+from depthnav.vae import (
+    SemanticVae,
+    VaeConfig,
+    kl_batch,
+    loss_weights,
+    recon_term,
+    train_vae,
+)
 
 TINY = VaeConfig(height=12, width=16, latent_dim=4, enc_channels=(2, 3, 4, 5), hidden=16)
 
@@ -78,14 +85,12 @@ def test_inference_leaves_no_cache():
     for run in (lambda: model.encode_batch(frames.x), lambda: model.decode_batch(np.zeros((3, 4)))):
         run()
         assert all(layer._cache is None for layer in model.layers())
-        assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
     # validation encodes and decodes after the epoch's kept passes
     model, _ = train_vae(_toy_frames(8), TINY, seed=0, epochs=1, batch_size=4)
     assert all(layer._cache is None for layer in model.layers())
-    assert all(getattr(layer, "last_input", None) is None for layer in model.layers())
 
 
-def test_full_loss_gradients_pass_finite_differences():
+def test_full_loss_gradients_pass_finite_differences(lrelu_fingerprint):
     cfg = TINY
     rng = np.random.default_rng(7)
     model = SemanticVae(cfg, seed=7, dtype=np.float64)
@@ -93,8 +98,7 @@ def test_full_loss_gradients_pass_finite_differences():
     seg = np.zeros((2, cfg.height, cfg.width), np.uint16)
     seg[:, 2:8, 3:9] = 1
     valid = (rng.random(x.shape) > 0.25).astype(np.float64)
-    lam = np.stack([semantic_weight_mask(s, cfg.w_const, cfg.nu_min, 10) for s in seg])
-    val_lam = valid * lam
+    val_lam = loss_weights(valid, seg, replace(cfg, p_min=10))
     eps = rng.standard_normal((2, cfg.latent_dim))
 
     def loss_and_grads():
@@ -102,10 +106,9 @@ def test_full_loss_gradients_pass_finite_differences():
         loss, _, _ = model.loss_and_grads(x, val_lam, eps)
         return loss, {k: v.copy() for k, v in model.grads().items()}
 
-    from depthnav.nn import lrelu_fingerprint
     err = max_param_error(loss_and_grads, model.params(), max_coords=20,
                           rng=np.random.default_rng(0),
-                          fingerprint_fn=lambda: lrelu_fingerprint(model.layers()))
+                          fingerprint_fn=lrelu_fingerprint(model.layers()))
     assert err < 1e-4, f"max relative error {err}"
 
 
@@ -261,14 +264,41 @@ def test_empty_dataset_rejected():
 def test_loss_identical_for_frames_differing_only_at_invalid_pixels():
     """Two targets that differ only where the mask is off produce the same
     reconstruction loss (latent equality is not claimed, loss equality is)."""
-    from depthnav.vae import recon_loss
-
     model = SemanticVae(TINY, seed=11)
     frames = _toy_frames(1, seed=12)
     x_a = frames.x[0].astype(np.float64)
     valid = frames.valid[0]
-    seg = frames.seg[0]
     x_b = x_a.copy()
     x_b[valid == 0] = 0.77  # junk depth where no measurement exists
     recon = model.decode(model.encode(frames.frame(0)).mu).astype(np.float64)
-    assert recon_loss(x_a, recon, valid, seg) == recon_loss(x_b, recon, valid, seg)
+    weights = loss_weights(frames.valid, frames.seg, TINY)[0]
+    assert np.sum(recon_term(recon - x_a, weights)) == np.sum(recon_term(recon - x_b, weights))
+
+
+def test_training_path_guards_the_loss_terms_inputs():
+    """The loss terms check nothing themselves: train_vae rejects frames of
+    another size, and encode_batch, whose output validation's KL takes, a
+    non-finite latent."""
+    with pytest.raises(ShapeError, match="config wants"):
+        train_vae(_toy_frames(4, h=10), TINY, seed=0, epochs=1)
+    model = SemanticVae(TINY, seed=1)
+    model.mu_head.params["bias"][0] = np.nan
+    with pytest.raises(TrainingError, match="non-finite latent"):
+        model.encode_batch(_toy_frames(2).x)
+
+
+@pytest.mark.parametrize("vanilla", [False, True])
+def test_training_step_loss_is_the_loss_suite_terms(vanilla):
+    """loss_and_grads returns the loss suite's terms on the model's own
+    forward: recon_term summed per image, kl_batch, and their sum at beta_norm."""
+    model = SemanticVae(TINY, seed=6)
+    frames = _toy_frames(5, seed=7)
+    weights = loss_weights(frames.valid, frames.seg, replace(TINY, p_min=5), vanilla)
+    eps = np.random.default_rng(8).standard_normal((5, TINY.latent_dim)).astype(np.float32)
+    total, recon_mean, kl_mean = model.loss_and_grads(frames.x, weights, eps)
+
+    mu, logvar = model.encode_batch(frames.x)
+    x_rec = model.decode_batch(sample_latent(mu, logvar, eps))
+    assert recon_mean == float(np.sum(recon_term(x_rec - frames.x, weights), axis=(1, 2)).mean())
+    assert kl_mean == float(kl_batch(mu.astype(np.float64), logvar.astype(np.float64)).mean())
+    assert total == recon_mean + TINY.beta_norm * kl_mean
