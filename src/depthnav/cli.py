@@ -49,6 +49,7 @@ from .evaluation import (
     run_mission,
     vae_reconstructor,
 )
+from .fft_codec import FftPlan
 from .pipeline import build_latent_dataset, collect_collision_data, render_vae_corpus
 from .vae import SemanticVae, train_vae
 from .world import generate_world, save_world, world_summary
@@ -75,6 +76,8 @@ def _common(sub):
 def _setup(args) -> tuple[AppConfig, Path]:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "log_every", 0) < 0:  # epoch % -1 == 0 would log every epoch
+        raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +181,9 @@ def cmd_train_cpn(args) -> int:
 
 def cmd_eval_recon(args) -> int:
     cfg, out = _setup(args)
-    clean = load_dataset(_need(out / F_FRAMES_CLEAN, "run render-dataset first"))
+    frames = dataset_info(_need(out / F_FRAMES_CLEAN, "run render-dataset first"))
+    FftPlan(frames["height"], frames["width"], args.fft_k)  # k in [1, H*W], before any load
+    clean = load_dataset(out / F_FRAMES_CLEAN)
     noisy = load_dataset(_need(out / F_FRAMES_NOISY, "run render-dataset first"))
     sevae = SemanticVae.load(_need(out / F_SEVAE, "run train-vae first"))
     vanilla = SemanticVae.load(_need(out / F_VANILLA, "run train-vae --vanilla first"))

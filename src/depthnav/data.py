@@ -57,6 +57,17 @@ class FrameSet:
     def subset(self, idx) -> "FrameSet":
         return FrameSet(self.x[idx], self.valid[idx], self.seg[idx])
 
+    def put(self, rows, frames) -> None:
+        """Write a DepthFrame into row `rows`, or a FrameSet into the rows
+        slice `rows`."""
+        self.x[rows], self.valid[rows], self.seg[rows] = frames.x, frames.valid, frames.seg
+
+    @classmethod
+    def empty(cls, n: int, shape) -> "FrameSet":
+        """n unwritten frames of shape (H, W), for a builder that writes each
+        frame once, into the array it ends in (put)."""
+        return cls(*(np.empty((n, *shape), dtype) for dtype in (np.float32, np.uint8, np.uint16)))
+
     @classmethod
     def from_frames(cls, frames) -> "FrameSet":
         return cls(np.stack([f.x for f in frames]),
@@ -154,8 +165,10 @@ def label_episode(episode: CollisionEpisode, horizon: int) -> CollisionSet:
     collided = np.concatenate([np.cumsum(episode.collided) > 0, np.ones(horizon, bool)])
     n = length if episode.ended_in_collision else max(length - horizon + 1, 0)
     steps = np.arange(n)[:, None] + np.arange(horizon)  # window i covers steps i .. i+T-1
-    return CollisionSet(FrameSet.from_frames(episode.frames).subset(slice(n)),
-                        episode.states[:n], actions[steps], collided[steps])
+    frames = FrameSet.empty(n, episode.frames[0].shape)  # only the frames windows start at
+    for i in range(n):
+        frames.put(i, episode.frames[i])
+    return CollisionSet(frames, episode.states[:n], actions[steps], collided[steps])
 
 
 def _mirror(states, actions):
@@ -176,9 +189,27 @@ def flip_augment_set(ds: CollisionSet) -> CollisionSet:
     return CollisionSet(frames, *_mirror(ds.states, ds.actions), ds.labels.copy())
 
 
-def with_flip_augmentation(ds: CollisionSet) -> CollisionSet:
-    """The set followed by its mirror copy: row i + len(ds) mirrors row i."""
-    return CollisionSet.concat([ds, flip_augment_set(ds)])
+def with_flip_augmentation(*sets: CollisionSet) -> CollisionSet:
+    """The rows of one or more sets in order, followed by their mirror copies:
+    row i + n mirrors row i, n being the sets' total length.  Each array is
+    allocated once at its 2n rows, and each row is written straight into both
+    halves, so no concatenated or flipped copy is made on the way."""
+    n, first = sum(map(len, sets)), sets[0]
+    out = CollisionSet(FrameSet.empty(2 * n, first.frames.x.shape[1:]),
+                       np.empty((2 * n, PARTIAL_STATE_DIM), np.float32),
+                       np.empty((2 * n, *first.actions.shape[1:]), np.float32),
+                       np.empty((2 * n, *first.labels.shape[1:]), np.uint8))
+    lo = 0
+    for ds in sets:
+        rows, mirror_rows = slice(lo, lo + len(ds)), slice(n + lo, n + lo + len(ds))
+        f = ds.frames
+        out.frames.put(rows, f)
+        out.frames.put(mirror_rows, FrameSet(f.x[..., ::-1], f.valid[..., ::-1], f.seg[..., ::-1]))
+        out.states[rows], out.actions[rows] = ds.states, ds.actions
+        out.labels[rows] = out.labels[mirror_rows] = ds.labels
+        lo += len(ds)
+    out.states[n:], out.actions[n:] = _mirror(out.states[:n], out.actions[:n])
+    return out
 
 
 def mirrored_half(states, actions, labels) -> int:
@@ -194,16 +225,24 @@ def mirrored_half(states, actions, labels) -> int:
 
 def encode_dataset(ds: CollisionSet, vae, batch_size: int = 64) -> LatentCollisionSet:
     """Replace every frame by its posterior mean under a frozen autoencoder."""
+    return encode_in_batches(ds, vae, lambda lo, hi: ds.frames.x[lo:hi], batch_size)
+
+
+def encode_in_batches(ds: CollisionSet, vae, encoder_input,
+                      batch_size: int = 64) -> LatentCollisionSet:
+    """ds with every frame replaced by the posterior mean of its encoder
+    input.  encoder_input(lo, hi) gives the (hi - lo, H, W) input of rows
+    lo..hi-1 and is asked for one batch of rows at a time, so an input made
+    from the frames (a corrupted copy) need only exist one batch at a time."""
     if ds.frames.x.shape[1:] != (vae.cfg.height, vae.cfg.width):
         raise ShapeError(
             f"dataset frames are {ds.frames.x.shape[1:]}, encoder wants "
             f"{(vae.cfg.height, vae.cfg.width)}"
         )
-    chunks = []
+    mu = np.empty((len(ds), vae.cfg.latent_dim), np.float32)
     for lo in range(0, len(ds), batch_size):
-        mu, _ = vae.encode_batch(ds.frames.x[lo : lo + batch_size])
-        chunks.append(mu)
-    mu = np.concatenate(chunks) if chunks else np.zeros((0, vae.cfg.latent_dim), np.float32)
+        hi = min(lo + batch_size, len(ds))
+        mu[lo:hi] = vae.encode_batch(encoder_input(lo, hi))[0]
     return LatentCollisionSet(mu, ds.states.copy(), ds.actions.copy(), ds.labels.copy())
 
 

@@ -16,7 +16,7 @@ from .data import (
     CollisionSet,
     FrameSet,
     LatentCollisionSet,
-    encode_dataset,
+    encode_in_batches,
     label_episode,
     with_flip_augmentation,
 )
@@ -70,16 +70,21 @@ def _world_picker(rng, environments, worlds_per_env: int, world_params_fn):
     return pick
 
 
+def _corrupted(frames: FrameSet, rows: range, noise: NoiseParams, base_seed: int,
+               max_range: float):
+    """The corrupted copy of each frame in rows, seeded from (base_seed, row)."""
+    for i in rows:
+        yield corrupt(frames.frame(i), noise.with_seed(frame_seed(base_seed, i)), max_range)
+
+
 def corrupt_frameset(frames: FrameSet, noise: NoiseParams, base_seed: int,
                      max_range: float) -> FrameSet:
     """Per-frame corruption with seeds derived from (base_seed, index)."""
-    out_x = np.empty_like(frames.x)
-    out_val = np.empty_like(frames.valid)
-    out_seg = np.empty_like(frames.seg)
-    for i in range(len(frames)):
-        noisy = corrupt(frames.frame(i), noise.with_seed(frame_seed(base_seed, i)), max_range)
-        out_x[i], out_val[i], out_seg[i] = noisy.x, noisy.valid, noisy.seg
-    return FrameSet(out_x, out_val, out_seg)
+    out = FrameSet.empty(len(frames), frames.x.shape[1:])
+    for i, noisy in enumerate(_corrupted(frames, range(len(frames)), noise, base_seed,
+                                         max_range)):
+        out.put(i, noisy)
+    return out
 
 
 def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, seed: int,
@@ -129,11 +134,10 @@ def render_vae_corpus(n_frames: int, camera: CameraModel, noise: NoiseParams, se
         state.pitch = float(rng.uniform(-0.15, 0.15))
         return world, state
 
-    frames = []
-    while len(frames) < n_frames:
+    clean = FrameSet.empty(n_frames, (camera.height, camera.width))
+    for i in range(n_frames):
         world, state = _draw_pose(draw)
-        frames.append(render_from_state(world, camera, state))
-    clean = FrameSet.from_frames(frames)
+        clean.put(i, render_from_state(world, camera, state))
     noisy = corrupt_frameset(clean, noise, seed, camera.max_range)
     return clean, noisy
 
@@ -145,8 +149,8 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
                            dynamics: DynamicsParams = DynamicsParams()) -> CollisionSet:
     """Roll randomized action sequences in generated worlds and label the
     windows, then append their mirror copies (with_flip_augmentation).
-    Frames are clean renders; corrupt copies are a separate, deterministic
-    step (corrupt_frameset)."""
+    Frames are clean renders; corrupting them is a separate, deterministic
+    step (build_latent_dataset)."""
     rng = np.random.default_rng(seed)
     pick_world = _world_picker(rng, environments, worlds_per_env, world_params_fn)
 
@@ -159,29 +163,35 @@ def collect_collision_data(n_episodes: int, camera: CameraModel, seed: int,
         except WorldError:
             return None
 
-    sets = []
-    made = 0
-    while made < n_episodes:
+    def labelled_episode():
+        # the episode's frame list is dropped on return, once its windows
+        # hold the frames they use
         world, start = _draw_pose(draw)
         start.yaw = float(rng.uniform(-np.pi, np.pi))
         sensor = lambda st: render_from_state(world, camera, st)
         episode = rollout_episode(world, start, sensor, seed=int(rng.integers(2**31)),
                                   T=horizon, dt=dt, max_steps=max_steps, dynamics=dynamics)
-        labeled = label_episode(episode, horizon)
-        if len(labeled):
-            sets.append(labeled)
-        made += 1
+        return label_episode(episode, horizon)
+
+    sets = [ds for ds in (labelled_episode() for _ in range(n_episodes)) if len(ds)]
     if not sets:
         raise DatasetError("no collision datapoints collected")
-    return with_flip_augmentation(CollisionSet.concat(sets))
+    return with_flip_augmentation(*sets)
 
 
 def build_latent_dataset(ds_clean: CollisionSet, vae: SemanticVae, noise: NoiseParams,
                          seed: int, max_range: float) -> LatentCollisionSet:
-    """Corrupt the collision frames, then encode them with the frozen VAE."""
-    noisy_frames = corrupt_frameset(ds_clean.frames, noise, seed, max_range)
-    noisy_set = CollisionSet(noisy_frames, ds_clean.states, ds_clean.actions, ds_clean.labels)
-    return encode_dataset(noisy_set, vae)
+    """Corrupt the collision frames, then encode them with the frozen VAE: the
+    encode_dataset of corrupt_frameset's output, with each encoder batch
+    corrupted just before it is encoded, so no corrupted copy of the whole
+    set is made."""
+    frames = ds_clean.frames
+
+    def corrupted_batch(lo, hi):
+        return np.stack([noisy.x for noisy in _corrupted(frames, range(lo, hi), noise, seed,
+                                                         max_range)])
+
+    return encode_in_batches(ds_clean, vae, corrupted_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,20 @@ class TestFlip:
         ds = label_episode(_episode(10), horizon=4)
         assert len(with_flip_augmentation(ds)) == 2 * len(ds)
 
+    @pytest.mark.parametrize("sizes", [(3,), (4, 0, 2), (0,)])
+    def test_one_pass_augmentation_equals_concat_then_flip(self, sizes):
+        sets = [self._ds(seed, n) for seed, n in enumerate(sizes, start=3)]
+        aug = with_flip_augmentation(*sets)
+        joined = CollisionSet.concat(sets)
+        ref = CollisionSet.concat([joined, flip_augment_set(joined)])  # the former composition
+        pairs = [(getattr(aug.frames, name), getattr(ref.frames, name))
+                 for name in ("x", "valid", "seg")]
+        pairs += [(aug.states, ref.states), (aug.actions, ref.actions), (aug.labels, ref.labels)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        assert mirrored_half(aug.states, aug.actions, aug.labels) == len(joined)
+
     def test_mirrored_half_finds_the_augmented_layout_only(self):
         ds = label_episode(_episode(10, collided_at=9), horizon=4)
         aug = with_flip_augmentation(ds)

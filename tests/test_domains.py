@@ -23,6 +23,7 @@ from depthnav.config import (
     load_config,
 )
 from depthnav.cpn import CpnConfig
+from depthnav.data import FrameSet, save_dataset
 from depthnav.errors import (
     Checked,
     ConfigError,
@@ -250,6 +251,14 @@ _cli_rows += [pytest.param(f"[dynamics]\n{key} = {value}\n", f"WorldError: dynam
                            id=f"dynamics-{key}-{value}-literal")
               for key, value in [("tau_v", "0"), ("tau_yaw", "-0.4"), ("omega_max", "nan"),
                                  ("v_max", "inf"), ("collision_radius", "-0.1")]]
+# the cases of the former per-section planner reject test
+_cli_rows += [pytest.param(f"[planner]\n{key} = {value}\n", f"PlannerError: planner {key} must be",
+                           id=f"planner-{key}-{value}-literal")
+              for key, value in [("threshold", "nan"), ("threshold", "0"),
+                                 ("fallback_speed_scale", "-0.5"), ("max_cycles", "0")]]
+_cli_rows += [pytest.param(f"[planner]\nfov_margin = {value}\n",
+                           "PlannerError: library fov_margin must be",
+                           id=f"planner-fov_margin-{value}-literal") for value in ("nan", "1.5")]
 # a key stored under another field is named with the value the file gives
 _cli_rows += [
     pytest.param("[camera]\nfov_h_deg = 200\n", "[camera] fov_h_deg = 200: camera fov_h must be",
@@ -269,6 +278,33 @@ def test_every_ini_key_out_of_range_gives_one_error_line(tmp_path, capsys, text,
     assert names in err[0]
     assert "np." not in err[0]  # values print as the Python numbers they hold
     assert not out.exists()
+
+
+# Through the CLI: a flag out of range fails before any artifact loads.  The
+# run directory holds only a 4x6 frame set, so a check made after loading
+# would fail on a missing file instead.
+_flag_rows = [
+    pytest.param(["eval-recon", "--fft-k", "0"], "ShapeError: fft k must be an integer in [1, inf)",
+                 id="eval-recon-fft-k-0"),
+    pytest.param(["eval-recon", "--fft-k", "25"], "ShapeError: fft k must be <= height * width",
+                 id="eval-recon-fft-k-above-frame-size"),
+    pytest.param(["train-vae", "--log-every", "-1"], "ConfigError: --log-every must be >= 0",
+                 id="train-vae-log-every--1"),
+    pytest.param(["train-cpn", "--log-every", "-1"], "ConfigError: --log-every must be >= 0",
+                 id="train-cpn-log-every--1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _flag_rows)
+def test_every_flag_out_of_range_fails_before_loading(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    frames = np.zeros((2, 4, 6))
+    save_dataset(out / "vae_frames_clean.dset", FrameSet(frames, frames, frames))
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert [p.name for p in out.iterdir()] == ["vae_frames_clean.dset"]
 
 
 def test_admitted_edge_values_load(tmp_path):

@@ -1,7 +1,9 @@
 """The dataset builders and the one-call training pipeline: bit-identical
-output, worlds built on first draw, stage timings."""
+output, equal to the compositions they replace, memory that stays near the
+result, worlds built on first draw, stage timings."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,15 @@ import pytest
 from depthnav import pipeline
 from depthnav.camera import CameraModel, NoiseParams
 from depthnav.config import AppConfig, DatasetSettings, TrainSettings
-from depthnav.pipeline import collect_collision_data, render_vae_corpus, train_full_stack
-from depthnav.vae import VaeConfig
+from depthnav.data import CollisionSet, FrameSet, encode_dataset
+from depthnav.pipeline import (
+    build_latent_dataset,
+    collect_collision_data,
+    corrupt_frameset,
+    render_vae_corpus,
+    train_full_stack,
+)
+from depthnav.vae import SemanticVae, VaeConfig
 
 
 def _sha(*arrays) -> str:
@@ -45,6 +54,66 @@ def test_collisions_bit_identical(seed):
     ds = collect_collision_data(3, CameraModel(), seed=seed, max_steps=30)
     assert _sha(ds.frames.x, ds.frames.valid, ds.frames.seg, ds.states, ds.actions,
                 ds.labels) == COLLISIONS_GOLDEN[seed]
+
+
+def _random_collisions(rows, seed=0) -> CollisionSet:
+    rng = np.random.default_rng(seed)
+    shape = (rows, 12, 16)
+    valid = (rng.random(shape) > 0.2).astype(np.uint8)
+    frames = FrameSet(rng.random(shape, dtype=np.float32) * valid, valid,
+                      rng.integers(0, 3, shape).astype(np.uint16) * valid)
+    return CollisionSet(frames, rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4, 4)),
+                        (rng.random((rows, 4)) > 0.5).astype(np.uint8))
+
+
+def _tiny_vae() -> SemanticVae:
+    return SemanticVae(VaeConfig(height=12, width=16, latent_dim=4, enc_channels=(2, 3, 4, 5),
+                                 hidden=16), seed=0)
+
+
+def _nbytes(*objs) -> int:
+    return sum(a.nbytes for obj in objs for a in vars(obj).values() if isinstance(a, np.ndarray))
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows", [150, 0])  # 150: two full encoder batches and a partial one
+def test_latents_equal_encoding_the_corrupted_copy(rows):
+    ds, vae, noise = _random_collisions(rows), _tiny_vae(), NoiseParams()
+    got = build_latent_dataset(ds, vae, noise, seed=11, max_range=5.0)
+    # the former composition: corrupt the whole set, then encode it
+    noisy = corrupt_frameset(ds.frames, noise, 11, 5.0)
+    want = encode_dataset(CollisionSet(noisy, ds.states, ds.actions, ds.labels), vae)
+    for name in ("mu", "states", "actions", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_collection_peak_stays_near_its_result():
+    ds, peak = _traced_peak(collect_collision_data, 3, CameraModel(), seed=1, max_steps=30,
+                            environments=("sparse",), worlds_per_env=1)
+    result = _nbytes(ds, ds.frames)
+    # the labelled episodes (half the result) are alive while the result is
+    # written; concatenating and then flipping them peaked ~1.7x beyond it
+    assert peak - result < 0.75 * result
+
+
+def test_latent_build_transient_does_not_grow_with_the_set():
+    vae, transient = _tiny_vae(), {}
+    for rows in (130, 520):
+        out, peak = _traced_peak(build_latent_dataset, _random_collisions(rows), vae,
+                                 NoiseParams(), seed=3, max_range=5.0)
+        transient[rows] = peak - _nbytes(out)
+    # a corrupted copy of the whole set would grow it by 390 rows' frames
+    copy_growth = 390 * 12 * 16 * (4 + 1 + 2)
+    assert transient[520] - transient[130] < 0.25 * copy_growth
 
 
 def test_one_episode_builds_only_the_world_it_draws(monkeypatch):
